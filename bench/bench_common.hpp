@@ -30,7 +30,7 @@
 
 #include "src/concretize/concretizer.hpp"
 #include "src/support/json.hpp"
-#include "src/support/trace.hpp"
+#include "src/support/flight.hpp"
 #include "src/workload/caches.hpp"
 #include "src/workload/radiuss.hpp"
 
@@ -170,12 +170,12 @@ class Samples {
   std::map<std::string, std::string> higher_;  // series -> unit
 };
 
-/// Time one call through a tracer span (category "bench").  When tracing is
-/// disabled this is exactly one steady_clock read on each side; when
-/// SPLICE_TRACE is set the per-iteration spans land in the Chrome trace.
+/// Time one call through a flight span (category "bench"): the
+/// per-iteration spans land in the ring, so SPLICE_TRACE shows them in the
+/// Chrome trace and SPLICE_TRACE_STATS aggregates them.
 template <typename F>
 double time_call(F&& f, std::string_view label = "call") {
-  trace::Span span(label, "bench");
+  flight::Span span(label, "bench");
   f();
   double seconds = span.seconds();
   span.end();

@@ -772,7 +772,7 @@ AuditReport RepoAuditor::run(AuditCache* cache) const {
   // audit can attribute wall time per group after the fact.
   if (opts_.constraint_checks) {
     flight::RequestScope req("audit constraint-checks");
-    flight::PhaseScope phase(flight::Phase::Audit);
+    flight::Span phase("constraint-checks", "audit", flight::Phase::Audit);
     std::vector<Task> tasks;
     for (const std::string& name : repo_.package_names()) {
       tasks.push_back(Task{
@@ -786,7 +786,7 @@ AuditReport RepoAuditor::run(AuditCache* cache) const {
   }
   if (opts_.provider_checks) {
     flight::RequestScope req("audit provider-checks");
-    flight::PhaseScope phase(flight::Phase::Audit);
+    flight::Span phase("provider-checks", "audit", flight::Phase::Audit);
     std::vector<Task> tasks;
     tasks.push_back(Task{"provider//graph",
                          fp ? fp->provider_graph_key() : "",
@@ -798,7 +798,7 @@ AuditReport RepoAuditor::run(AuditCache* cache) const {
   }
   if (opts_.splice_checks && !binaries_.empty()) {
     flight::RequestScope req("audit splice-safety");
-    flight::PhaseScope phase(flight::Phase::Audit);
+    flight::Span phase("splice-safety", "audit", flight::Phase::Audit);
     std::vector<Task> tasks;
     for (const std::string& name : repo_.package_names()) {
       tasks.push_back(Task{
@@ -821,7 +821,7 @@ AuditReport RepoAuditor::run(AuditCache* cache) const {
   // re-report the same defects as opaque compiler failures.
   if (opts_.encoding_checks && !out.has_errors()) {
     flight::RequestScope req("audit encoding-cross-check");
-    flight::PhaseScope phase(flight::Phase::Audit);
+    flight::Span phase("encoding-cross-check", "audit", flight::Phase::Audit);
     std::vector<Task> tasks;
     for (const std::string& name : repo_.package_names()) {
       tasks.push_back(Task{"encoding/" + name,

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "src/asp/translate.hpp"
+#include "src/support/flight.hpp"
 #include "src/support/trace.hpp"
 
 namespace splice::asp {
@@ -204,7 +205,7 @@ UnsatExplanation explain_unsat_ground(const GroundProgram& gp,
                                       const Program* source,
                                       const ExplainOptions& opts) {
   UnsatExplanation out;
-  trace::Tracer& tracer = trace::Tracer::global();
+  const bool recording = flight::Recorder::global().enabled();
 
   Translation tr(gp, /*guard_constraints=*/true);
   out.stats.guarded_constraints = tr.guards().size();
@@ -212,7 +213,7 @@ UnsatExplanation explain_unsat_ground(const GroundProgram& gp,
   SolveStats scratch;
   std::vector<Lit> core;
   {
-    trace::Span span("core", "explain");
+    flight::Span span("core", "explain");
     auto t0 = std::chrono::steady_clock::now();
     auto res = solve_stable(tr, tr.guards(), scratch);
     out.stats.core_seconds =
@@ -228,12 +229,10 @@ UnsatExplanation explain_unsat_ground(const GroundProgram& gp,
     }
     core = tr.solver().final_core();
     out.stats.core_initial = core.size();
-    span.attr("guards", static_cast<std::int64_t>(tr.guards().size()));
-    span.attr("core", static_cast<std::int64_t>(core.size()));
   }
-  if (tracer.enabled()) {
-    tracer.metrics().add("explain.core_before",
-                         static_cast<std::int64_t>(core.size()));
+  if (recording) {
+    trace::Tracer::global().metrics().add(
+        "explain.core_before", static_cast<std::int64_t>(core.size()));
   }
 
   if (opts.minimize) {
@@ -241,7 +240,7 @@ UnsatExplanation explain_unsat_ground(const GroundProgram& gp,
     // must go through solve_stable (not the raw SAT solver) so loop nogoods
     // keep the semantics exact for non-tight programs.  Same shape as
     // sat::minimize_core, with clause-set refinement via final_core().
-    trace::Span span("minimize", "explain");
+    flight::Span span("minimize", "explain");
     auto t0 = std::chrono::steady_clock::now();
     std::size_t i = 0;
     std::uint64_t solves = 0;
@@ -269,18 +268,16 @@ UnsatExplanation explain_unsat_ground(const GroundProgram& gp,
     out.stats.minimize_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    span.attr("solves", static_cast<std::int64_t>(solves));
-    span.attr("core", static_cast<std::int64_t>(core.size()));
   }
   out.stats.core_minimized = core.size();
-  if (tracer.enabled()) {
-    tracer.metrics().add("explain.core_after",
-                         static_cast<std::int64_t>(core.size()));
+  if (recording) {
+    trace::Tracer::global().metrics().add(
+        "explain.core_after", static_cast<std::int64_t>(core.size()));
   }
 
   // Map surviving guard literals back to constraints and, when available,
   // through the grounder's provenance to source rules.
-  trace::Span span("provenance", "explain");
+  flight::Span span("provenance", "explain");
   std::unordered_map<Lit, std::size_t> guard_index;
   for (std::size_t gi = 0; gi < tr.guards().size(); ++gi) {
     guard_index.emplace(tr.guards()[gi], gi);
@@ -328,10 +325,6 @@ UnsatExplanation explain_unsat_ground(const GroundProgram& gp,
               if (a.kind != b.kind) return a.kind < b.kind;
               return a.ground_index < b.ground_index;
             });
-  span.attr("with_source",
-            static_cast<std::int64_t>(std::count_if(
-                out.core.begin(), out.core.end(),
-                [](const CoreConstraint& c) { return c.has_source; })));
   return out;
 }
 

@@ -270,7 +270,7 @@ class Grounder {
   }
 
   GroundProgram run() {
-    trace::Span span("ground", "asp");
+    flight::Span span("ground", "asp");
     auto t0 = std::chrono::steady_clock::now();
     seed_facts();
     prepare_rules();
@@ -287,41 +287,35 @@ class Grounder {
     out.stats.seconds = std::chrono::duration<double>(t1 - t0).count();
     if (prov_) {
       out.stats.provenance_bytes = prov_->approx_bytes();
-      trace::Tracer& tracer = trace::Tracer::global();
-      if (tracer.enabled()) {
-        tracer.metrics().add(
-            "ground.provenance_bytes",
-            static_cast<std::int64_t>(out.stats.provenance_bytes));
-      }
       out.provenance = std::move(prov_);
     }
     if (gprof_) out.profile = std::move(gprof_);
-    span.attr("possible_atoms", out.stats.possible_atoms);
-    span.attr("certain_atoms", out.stats.certain_atoms);
-    span.attr("rules", out.stats.rules);
-    span.attr("choices", out.stats.choices);
-    span.attr("iterations", out.stats.iterations);
-    flight::Recorder::global().emit(
-        flight::EventKind::GroundDone,
-        static_cast<std::int64_t>(out.stats.possible_atoms),
-        static_cast<std::int64_t>(out.stats.rules), {},
-        flight::Phase::Ground);
-    record_predicate_counts();
+    flight::Recorder& rec = flight::Recorder::global();
+    rec.emit(flight::EventKind::GroundDone,
+             static_cast<std::int64_t>(out.stats.possible_atoms),
+             static_cast<std::int64_t>(out.stats.rules), {},
+             flight::Phase::Ground);
+    if (rec.enabled()) record_metrics(out.stats);
     return out;
   }
 
-  /// Per-predicate possible-atom counts into the global metrics registry.
-  /// Costs a walk of the per-predicate stores, so only runs while tracing.
-  void record_predicate_counts() const {
-    trace::Tracer& tracer = trace::Tracer::global();
-    if (!tracer.enabled()) return;
-    std::map<std::string, std::int64_t> counts;
-    store_.for_each_pred([&](SigId sig, const std::vector<Term>& atoms) {
-      counts[Term::sig_str(sig)] += static_cast<std::int64_t>(atoms.size());
-    });
-    for (const auto& [sig, n] : counts) {
-      tracer.metrics().add("ground.atoms/" + sig, n);
+  /// Grounding totals the GroundDone event does not carry, and per-predicate
+  /// possible-atom counts, into the global metrics registry.  Costs a walk
+  /// of the per-predicate stores, so only runs while recording.
+  void record_metrics(const GroundStats& stats) const {
+    trace::MetricsRegistry& m = trace::Tracer::global().metrics();
+    m.add("ground.certain_atoms",
+          static_cast<std::int64_t>(stats.certain_atoms));
+    m.add("ground.choices", static_cast<std::int64_t>(stats.choices));
+    m.add("ground.iterations", static_cast<std::int64_t>(stats.iterations));
+    if (stats.provenance_bytes > 0) {
+      m.add("ground.provenance_bytes",
+            static_cast<std::int64_t>(stats.provenance_bytes));
     }
+    store_.for_each_pred([&](SigId sig, const std::vector<Term>& atoms) {
+      m.add("ground.atoms/" + Term::sig_str(sig),
+            static_cast<std::int64_t>(atoms.size()));
+    });
   }
 
  private:

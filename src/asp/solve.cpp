@@ -9,7 +9,6 @@
 #include "src/asp/translate.hpp"
 #include "src/support/error.hpp"
 #include "src/support/flight.hpp"
-#include "src/support/trace.hpp"
 
 namespace splice::asp {
 
@@ -32,18 +31,6 @@ flight::EventKind flight_kind(SolveEvent::Kind kind) {
 }  // namespace
 
 using sat::Lit;
-
-std::string_view solve_event_name(SolveEvent::Kind kind) {
-  switch (kind) {
-    case SolveEvent::Kind::SatRestart: return "sat.restart";
-    case SolveEvent::Kind::SatConflicts: return "sat.conflicts";
-    case SolveEvent::Kind::ModelFound: return "asp.model";
-    case SolveEvent::Kind::LoopNogood: return "asp.loop_nogood";
-    case SolveEvent::Kind::BoundImproved: return "asp.bound";
-    case SolveEvent::Kind::LevelDone: return "asp.level_done";
-  }
-  return "asp.unknown";
-}
 
 json::Value SolveStats::to_json() const {
   json::Object o;
@@ -87,22 +74,21 @@ SolveResult solve_ground(const GroundProgram& gp, const SolveOptions& opts) {
   result.stats.ground = gp.stats;
   result.stats.ground_seconds = gp.stats.seconds;
 
-  trace::Tracer& tracer = trace::Tracer::global();
   flight::Recorder& flightrec = flight::Recorder::global();
-  trace::Span span("solve", "asp");
+  flight::Span span("solve", "asp");
 
   // Event plumbing: solve_stable / the optimization loop call `emit`, which
-  // completes the counters and forwards to the user callback, the tracer,
-  // and the flight recorder.  The flight tap is always-on but cheap: the
-  // CDCL core only fires it per restart / per 2048-conflict batch.
-  const bool want_events = static_cast<bool>(opts.progress) ||
-                           tracer.enabled() || flightrec.enabled();
+  // completes the counters and forwards to the user callback and the flight
+  // recorder.  The flight tap is always-on but cheap: the CDCL core only
+  // fires it per restart / per 2048-conflict batch.
+  const bool want_events =
+      static_cast<bool>(opts.progress) || flightrec.enabled();
   SolveEventFn emit;
 
   auto t0 = std::chrono::steady_clock::now();
   std::unique_ptr<Translation> tr;
   {
-    trace::Span ts("translate", "asp");
+    flight::Span ts("translate", "asp");
     tr = std::make_unique<Translation>(gp, /*guard_constraints=*/false,
                                        opts.profile);
   }
@@ -110,21 +96,12 @@ SolveResult solve_ground(const GroundProgram& gp, const SolveOptions& opts) {
   result.stats.translate_seconds = std::chrono::duration<double>(t1 - t0).count();
   result.stats.sat_vars = tr->solver().num_vars();
   result.stats.sat_clauses = tr->solver().num_clauses();
-  span.attr("sat_vars", result.stats.sat_vars);
-  span.attr("sat_clauses", result.stats.sat_clauses);
 
   if (want_events) {
-    emit = [&opts, &tracer, &flightrec, &result, &tr](SolveEvent ev) {
+    emit = [&opts, &flightrec, &result, &tr](SolveEvent ev) {
       ev.conflicts = result.stats.conflicts + tr->solver().stats().conflicts;
       ev.models = result.stats.models_enumerated;
       if (opts.progress) opts.progress(ev);
-      if (tracer.enabled()) {
-        tracer.instant(solve_event_name(ev.kind), "asp",
-                       {{"priority", json::Value(ev.priority)},
-                        {"cost", json::Value(ev.cost)},
-                        {"conflicts", json::Value(ev.conflicts)},
-                        {"models", json::Value(ev.models)}});
-      }
       switch (ev.kind) {
         case SolveEvent::Kind::BoundImproved:
         case SolveEvent::Kind::LevelDone:
@@ -201,8 +178,6 @@ SolveResult solve_ground(const GroundProgram& gp, const SolveOptions& opts) {
     auto t2 = std::chrono::steady_clock::now();
     result.stats.solve_seconds = std::chrono::duration<double>(t2 - t1).count();
     result.sat = false;
-    span.attr("sat", false);
-    span.attr("conflicts", result.stats.conflicts);
     return result;
   }
   result.sat = true;
@@ -232,8 +207,7 @@ SolveResult solve_ground(const GroundProgram& gp, const SolveOptions& opts) {
     // not lost — once g is retired; everything else the solver learned
     // stays valid across bounds *and* across priority levels.
     for (std::int64_t prio : priorities) {
-      trace::Span level_span("optimize_level", "asp");
-      level_span.attr("priority", prio);
+      flight::Span level_span("optimize_level", "asp");
       // The optimum model of the previous level persists in the solver's
       // model snapshot (Unsat-under-assumption does not clear it).
       std::int64_t best_cost = tr->eval_cost(prio);
@@ -276,7 +250,6 @@ SolveResult solve_ground(const GroundProgram& gp, const SolveOptions& opts) {
         ev.cost = best_cost;
         emit(ev);
       }
-      level_span.attr("cost", best_cost);
       // Pin this level's optimum permanently before descending.
       if (prio != priorities.back()) {
         tr->solver().add_pb_le(std::move(terms), best_cost,
@@ -295,11 +268,6 @@ SolveResult solve_ground(const GroundProgram& gp, const SolveOptions& opts) {
   auto t3 = std::chrono::steady_clock::now();
   result.stats.solve_seconds = std::chrono::duration<double>(t3 - t1).count();
   result.model = std::move(best);
-  span.attr("sat", true);
-  span.attr("conflicts", result.stats.conflicts);
-  span.attr("decisions", result.stats.decisions);
-  span.attr("models_enumerated", result.stats.models_enumerated);
-  span.attr("loop_nogoods", result.stats.loop_nogoods);
   return result;
 }
 

@@ -68,9 +68,6 @@ struct SolveEvent {
   std::uint64_t models = 0;    ///< candidate models enumerated so far
 };
 
-/// Stable event name, e.g. "sat.restart", "asp.bound" (trace event names).
-std::string_view solve_event_name(SolveEvent::Kind kind);
-
 using SolveProgressFn = std::function<void(const SolveEvent&)>;
 
 /// A stable (and, when minimize statements exist, optimal) model.
@@ -107,7 +104,7 @@ struct SolveOptions {
   /// GroundOptions::profile + record_provenance for directive attribution.
   bool profile = false;
   /// Streamed search progress.  Independently of this callback, the same
-  /// events are mirrored as instants into the global tracer when enabled.
+  /// events are recorded into the flight ring when it is enabled.
   SolveProgressFn progress;
 };
 

@@ -93,7 +93,7 @@ void Installer::write_node_binary(const spec::SpecNode& node,
 }
 
 InstallReport Installer::install_from_source(const spec::Spec& concrete) {
-  trace::Span span("install_from_source", "install");
+  flight::Span span("install_from_source", "install");
   if (!concrete.is_concrete()) {
     throw BinaryError("install_from_source: spec is not concrete");
   }
@@ -120,7 +120,7 @@ InstallReport Installer::install_from_source(const spec::Spec& concrete) {
 
 InstallReport Installer::install_from_cache(const spec::Spec& concrete,
                                             const BuildCache& cache) {
-  trace::Span span("install_from_cache", "install");
+  flight::Span span("install_from_cache", "install");
   if (!concrete.is_concrete()) {
     throw BinaryError("install_from_cache: spec is not concrete");
   }
@@ -190,8 +190,7 @@ std::string Installer::locate_original_binary(const spec::Spec& build_spec,
 
 InstallReport Installer::rewire(const spec::Spec& spliced,
                                 const BuildCache& cache) {
-  trace::Span span("rewire", "install");
-  span.attr("root", spliced.root().name);
+  flight::Span span("rewire", "install");
   if (!spliced.is_concrete()) {
     throw BinaryError("rewire: spec is not concrete");
   }
@@ -289,16 +288,13 @@ InstallReport Installer::rewire(const spec::Spec& spliced,
         flight::Phase::Install);
     db_.add(spliced.subdag(i), layout.prefix(node), i == 0);
   }
-  span.attr("rewired", report.rewired);
-  span.attr("relocated", report.relocated);
-  span.attr("built", report.built);
-  span.attr("bytes_written", report.bytes_written);
-  trace::Tracer& tracer = trace::Tracer::global();
-  if (tracer.enabled()) {
-    tracer.metrics().add("install.rewired",
-                         static_cast<std::int64_t>(report.rewired));
-    tracer.metrics().add("install.bytes_written",
-                         static_cast<std::int64_t>(report.bytes_written));
+  if (flight::Recorder::global().enabled()) {
+    trace::MetricsRegistry& m = trace::Tracer::global().metrics();
+    m.add("install.rewired", static_cast<std::int64_t>(report.rewired));
+    m.add("install.relocated", static_cast<std::int64_t>(report.relocated));
+    m.add("install.built", static_cast<std::int64_t>(report.built));
+    m.add("install.bytes_written",
+          static_cast<std::int64_t>(report.bytes_written));
   }
   return report;
 }

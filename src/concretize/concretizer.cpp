@@ -630,7 +630,7 @@ void resolve_directive_locs(const repo::Repository& repo, asp::Profile& prof);
 
 ProfileReport Concretizer::profile(const std::vector<Request>& requests) const {
   if (requests.empty()) throw Error("profile: no requests");
-  trace::Span span("profile", "concretize");
+  flight::Span span("profile", "concretize");
   Program program = compile_program(requests);
   asp::GroundOptions gopts;
   gopts.record_provenance = true;
@@ -688,11 +688,9 @@ std::shared_ptr<const Concretizer::CompileCache> Concretizer::ensure_cache(
   if (!opts_.prune_reuse || reusable_.empty() || requests.empty()) {
     return full_cache_locked();
   }
-  trace::Span span("prune", "concretize");
+  flight::Span span("prune", "concretize");
   reach::Slice slice =
       reach::slice_reusable(repo_, reusable_, reusable_edges_, requests);
-  span.attr("kept", slice.keep.size());
-  span.attr("total", slice.total);
   trace::MetricsRegistry& m = trace::Tracer::global().metrics();
   m.add("concretize/prune_kept", static_cast<std::int64_t>(slice.keep.size()));
   m.add("concretize/prune_dropped",
@@ -859,41 +857,40 @@ struct SolvedDag {
 /// Solve and interpret; the combined DAG holds every solution node (all are
 /// reachable from some root by the node_used constraint).
 ///
-/// The four phases — compile (facts + specialized rules), ground, solve, and
-/// extract (model -> concrete spec) — each run under a trace span so the
-/// observability layer can attribute end-to-end concretization time.
-static SolvedDag solve_requests(
-    const repo::Repository& repo, const ConcretizerOptions& opts,
-    const std::map<std::string, Spec>& reusable,
-    std::shared_ptr<const Concretizer::CompileCache> cache,
-    const std::vector<Request>& requests) {
-  trace::Span span("concretize", "concretize");
-  span.attr("requests", requests.size());
-  span.attr("reusable", reusable.size());
-  span.attr("splicing", opts.enable_splicing);
-
-  // Per-request flight account: every concretization gets a stable id with
-  // phase durations, solver rollups and the outcome, always-on.
+/// Each call is one flight request.  Its four phases — compile (reuse
+/// pruning, the compile cache and the request's facts + specialized rules),
+/// ground, solve, and extract (model -> concrete spec) — each run under a
+/// flight::Span tagged with its Phase, so the request account and the trace
+/// attribute end-to-end concretization time to them.  `make_cache` returns
+/// the compile cache for `requests` (Concretizer::ensure_cache).
+template <typename MakeCache>
+static SolvedDag solve_requests(const repo::Repository& repo,
+                                const ConcretizerOptions& opts,
+                                const std::map<std::string, Spec>& reusable,
+                                MakeCache&& make_cache,
+                                const std::vector<Request>& requests) {
   std::string request_text;
   for (const Request& r : requests) {
     if (!request_text.empty()) request_text += "; ";
     request_text += r.root.str();
   }
   flight::RequestScope flight_req(request_text);
+  flight::Span span("concretize", "concretize");
+  trace::MetricsRegistry& m = trace::Tracer::global().metrics();
+  m.set_gauge("concretize.reusable", static_cast<double>(reusable.size()));
 
   Program program;
   {
-    trace::Span phase("compile", "concretize");
-    flight::PhaseScope fphase(flight::Phase::Compile);
-    Concretizer::Compiler compiler(repo, opts, reusable, std::move(cache));
+    flight::Span phase("compile", "concretize", flight::Phase::Compile);
+    Concretizer::Compiler compiler(repo, opts, reusable, make_cache());
     program = compiler.compile(requests);
-    phase.attr("rules", program.rules().size());
+    m.add("concretize/compile_rules",
+          static_cast<std::int64_t>(program.rules().size()));
   }
   const bool profiling = env_profile_enabled();
   asp::GroundProgram gp;
   {
-    trace::Span phase("ground", "concretize");
-    flight::PhaseScope fphase(flight::Phase::Ground);
+    flight::Span phase("ground", "concretize", flight::Phase::Ground);
     asp::GroundOptions gopts;
     if (profiling) {
       gopts.record_provenance = true;
@@ -903,8 +900,7 @@ static SolvedDag solve_requests(
   }
   asp::SolveResult solved;
   {
-    trace::Span phase("solve", "concretize");
-    flight::PhaseScope fphase(flight::Phase::Solve);
+    flight::Span phase("solve", "concretize", flight::Phase::Solve);
     asp::SolveOptions sopts;
     sopts.profile = profiling;
     solved = asp::solve_ground(gp, sopts);
@@ -932,7 +928,6 @@ static SolvedDag solve_requests(
   if (profiling && solved.profile != nullptr) {
     asp::Profile prof = asp::aggregate_profile(*solved.profile, program);
     resolve_directive_locs(repo, prof);
-    trace::MetricsRegistry& m = trace::Tracer::global().metrics();
     m.add("profile/solves");
     m.add("profile/attributed_propagations",
           static_cast<std::int64_t>(prof.sat_totals.propagations -
@@ -964,8 +959,7 @@ static SolvedDag solve_requests(
   }
   const asp::Model& model = solved.model;
 
-  trace::Span extract_span("extract", "concretize");
-  flight::PhaseScope flight_extract(flight::Phase::Extract);
+  flight::Span extract_span("extract", "concretize", flight::Phase::Extract);
   SolvedDag result;
   result.stats = solved.stats;
   result.objectives = model.costs;
@@ -1086,12 +1080,7 @@ static SolvedDag solve_requests(
         parent, hash_of.at(parent), replaced, replacement});
   }
   extract_span.end();
-  flight_extract.end();
 
-  span.attr("nodes", result.combined.nodes().size());
-  span.attr("builds", result.build_names.size());
-  span.attr("reused", result.reused_hashes.size());
-  span.attr("splices", result.splices.size());
   {
     flight::Recorder& rec = flight::Recorder::global();
     for (const SpliceDecision& s : result.splices) {
@@ -1109,8 +1098,9 @@ static SolvedDag solve_requests(
 }
 
 ConcretizeResult Concretizer::concretize(const Request& request) const {
-  SolvedDag solved = solve_requests(repo_, opts_, reusable_,
-                                    ensure_cache({request}), {request});
+  SolvedDag solved =
+      solve_requests(repo_, opts_, reusable_,
+                     [&] { return ensure_cache({request}); }, {request});
   ConcretizeResult result;
   result.spec = solved.combined.subdag(
       solved.index_of.at(request.root.root().name));
@@ -1126,7 +1116,8 @@ EnvironmentResult Concretizer::concretize_together(
     const std::vector<Request>& requests) const {
   if (requests.empty()) throw Error("concretize_together: no requests");
   SolvedDag solved =
-      solve_requests(repo_, opts_, reusable_, ensure_cache(requests), requests);
+      solve_requests(repo_, opts_, reusable_,
+                     [&] { return ensure_cache(requests); }, requests);
   EnvironmentResult result;
   result.roots.reserve(requests.size());
   for (const Request& r : requests) {

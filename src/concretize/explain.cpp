@@ -7,7 +7,7 @@
 
 #include "src/concretize/concretizer.hpp"
 #include "src/support/error.hpp"
-#include "src/support/trace.hpp"
+#include "src/support/flight.hpp"
 
 namespace splice::concretize {
 
@@ -118,15 +118,12 @@ json::Value SpliceDiagnosis::to_json() const {
 UnsatDiagnosis Concretizer::explain_unsat(const std::vector<Request>& requests,
                                           const asp::ExplainOptions& opts)
     const {
-  trace::Span span("explain_unsat", "concretize");
-  span.attr("requests", requests.size());
+  flight::Span span("explain_unsat", "concretize");
   UnsatDiagnosis d;
   d.requests.reserve(requests.size());
   for (const Request& r : requests) d.requests.push_back(r.root.str());
   asp::Program program = compile_program(requests);
   d.explanation = asp::explain_unsat(program, opts);
-  span.attr("sat", d.explanation.sat);
-  span.attr("core", d.explanation.core.size());
   return d;
 }
 
@@ -135,8 +132,7 @@ SpliceDiagnosis Concretizer::explain_splice(
   if (!opts_.enable_splicing) {
     throw Error("explain_splice requires ConcretizerOptions::enable_splicing");
   }
-  trace::Span span("explain_splice", "concretize");
-  span.attr("requests", requests.size());
+  flight::Span span("explain_splice", "concretize");
 
   SpliceDiagnosis d;
   d.requests.reserve(requests.size());
@@ -229,8 +225,6 @@ SpliceDiagnosis Concretizer::explain_splice(
   d.executed = static_cast<std::size_t>(
       std::count_if(d.candidates.begin(), d.candidates.end(),
                     [](const SpliceCandidateTrace& c) { return c.chosen; }));
-  span.attr("candidates", d.candidates.size());
-  span.attr("executed", d.executed);
   return d;
 }
 

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "src/support/error.hpp"
+#include "src/support/flight.hpp"
 #include "src/support/parallel.hpp"
 #include "src/support/trace.hpp"
 
@@ -20,10 +21,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 std::vector<BatchItem> ConcretizerPool::concretize_batch(
     const std::vector<Request>& requests, BatchStats* stats) const {
-  trace::Span span("batch", "pool");
-  span.attr("requests", requests.size());
+  flight::Span span("batch", "pool");
   std::size_t workers = parallel_workers(requests.size(), opts_.jobs);
-  span.attr("workers", workers);
 
   trace::MetricsRegistry& m = trace::Tracer::global().metrics();
   m.add("pool/batches");
@@ -67,8 +66,6 @@ std::vector<BatchItem> ConcretizerPool::concretize_batch(
       wall > 0 ? static_cast<double>(requests.size()) / wall : 0.0;
   m.add("pool/failed_requests", static_cast<std::int64_t>(out.failed));
   m.set_gauge("pool/throughput_rps", out.throughput_rps);
-  span.attr("succeeded", out.succeeded);
-  span.attr("failed", out.failed);
   if (stats != nullptr) *stats = out;
   return items;
 }

@@ -4,7 +4,7 @@
 #include <map>
 
 #include "src/support/error.hpp"
-#include "src/support/trace.hpp"
+#include "src/support/flight.hpp"
 
 namespace splice::concretize {
 
@@ -25,10 +25,7 @@ struct Origin {
 
 Spec splice(const Spec& target, std::string_view replace_name,
             const Spec& replacement, bool transitive) {
-  trace::Span span("splice", "splice");
-  span.attr("target", target.root().name);
-  span.attr("replace", std::string(replace_name));
-  span.attr("transitive", transitive);
+  flight::Span span("splice", "splice");
   if (!target.is_concrete()) {
     throw SpecError("splice: target spec is not concrete");
   }

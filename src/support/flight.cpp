@@ -145,6 +145,13 @@ bool parse_double(const char* s, double& out) {
   return true;
 }
 
+bool write_json_file(const std::string& path, const json::Value& doc) {
+  std::ofstream out(path);
+  if (!out) return false;
+  out << doc.dump_pretty() << "\n";
+  return static_cast<bool>(out);
+}
+
 void warn_env(const char* var, const char* value) {
   std::fprintf(stderr,
                "splice: warning: ignoring malformed %s=\"%s\" "
@@ -228,6 +235,8 @@ void Recorder::configure(RecorderOptions opts) {
   next_request_ = 1;
   accounts_.clear();
   account_order_.clear();
+  span_totals_.assign(span_totals_.size(), SpanTotals{});
+  kind_counts_.fill(0);
 }
 
 Recorder& Recorder::global() {
@@ -249,8 +258,39 @@ Recorder& Recorder::global() {
       opts.dump_dir = p;
       opts.dump_abnormal = true;
     }
+    // Asking for a trace export asks for recording.
+    static std::string trace_path, stats_path;
+    if (const char* p = std::getenv("SPLICE_TRACE");
+        trace::env_export_path_ok("SPLICE_TRACE", p)) {
+      trace_path = p;
+    }
+    if (const char* p = std::getenv("SPLICE_TRACE_STATS");
+        trace::env_export_path_ok("SPLICE_TRACE_STATS", p)) {
+      stats_path = p;
+    }
+    bool exports = !trace_path.empty() || !stats_path.empty();
+    if (exports) opts.enabled = true;
     // Never destroyed: must stay usable from atexit and signal handlers.
     auto* r = new Recorder(std::move(opts));
+    if (exports) {
+      std::atexit([] {
+        const Recorder& g = Recorder::global();
+        if (!trace_path.empty() &&
+            !write_json_file(trace_path, g.chrome_trace())) {
+          std::fprintf(stderr,
+                       "splice: warning: SPLICE_TRACE: cannot write "
+                       "chrome trace to \"%s\"\n",
+                       trace_path.c_str());
+        }
+        if (!stats_path.empty() &&
+            !write_json_file(stats_path, g.stats_json())) {
+          std::fprintf(stderr,
+                       "splice: warning: SPLICE_TRACE_STATS: cannot write "
+                       "stats to \"%s\"\n",
+                       stats_path.c_str());
+        }
+      });
+    }
     if (const char* p = std::getenv("SPLICE_FLIGHT_EXIT"); p && *p) {
       static std::string exit_path;
       exit_path = p;
@@ -281,25 +321,86 @@ double Recorder::now_us() const {
       .count();
 }
 
+std::uint64_t Recorder::to_us(std::chrono::steady_clock::time_point t) const {
+  return t > epoch_ ? static_cast<std::uint64_t>(
+                          std::chrono::duration<double, std::micro>(t - epoch_)
+                              .count())
+                    : 0;
+}
+
+namespace {
+
+void set_detail(Event& ev, std::string_view detail) {
+  std::size_t n = std::min(detail.size(), sizeof(ev.detail) - 1);
+  if (n > 0) std::memcpy(ev.detail, detail.data(), n);
+}
+
+}  // namespace
+
+Event Recorder::make_event(EventKind kind, std::uint64_t t_us) const {
+  Event ev;
+  ev.t_us = t_us;
+  ev.kind = kind;
+  ev.tid = flight_thread_id();
+  if (t_current.rec == this) ev.request = t_current.id;
+  return ev;
+}
+
 void Recorder::push_locked(Event ev) {
   ev.seq = next_seq_++;
   ring_[ev.seq & (ring_.size() - 1)] = ev;
+  ++kind_counts_[static_cast<std::size_t>(ev.kind)];
 }
 
 void Recorder::do_emit(EventKind kind, std::int64_t a, std::int64_t b,
                        std::string_view detail, Phase phase) {
-  Event ev;
-  ev.t_us = static_cast<std::uint64_t>(now_us());
+  Event ev = make_event(kind, static_cast<std::uint64_t>(now_us()));
   ev.a = a;
   ev.b = b;
-  ev.kind = kind;
   ev.phase = phase;
-  ev.tid = flight_thread_id();
-  if (t_current.rec == this) ev.request = t_current.id;
-  std::size_t n = std::min(detail.size(), sizeof(ev.detail) - 1);
-  if (n > 0) std::memcpy(ev.detail, detail.data(), n);
+  set_detail(ev, detail);
   std::lock_guard<std::mutex> lock(mu_);
   push_locked(ev);
+}
+
+std::uint32_t Recorder::begin_span(std::string_view name, Phase phase,
+                                   std::uint64_t t_us) {
+  Event ev = make_event(EventKind::PhaseBegin, t_us);
+  ev.phase = phase;
+  set_detail(ev, name);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = span_ids_.find(name);
+  if (it == span_ids_.end()) {
+    auto id = static_cast<std::uint32_t>(span_names_.size());
+    span_names_.emplace_back(name);
+    it = span_ids_.emplace(std::string(name), id).first;
+  }
+  ev.b = it->second;
+  push_locked(ev);
+  return it->second;
+}
+
+void Recorder::end_span(std::uint32_t name_id, Phase phase,
+                        std::uint64_t begin_us, std::uint64_t end_us,
+                        double seconds) {
+  Event ev = make_event(EventKind::PhaseEnd, end_us);
+  ev.phase = phase;
+  ev.a = static_cast<std::int64_t>(begin_us);
+  ev.b = name_id;
+  std::lock_guard<std::mutex> lock(mu_);
+  set_detail(ev, span_names_[name_id]);
+  push_locked(ev);
+  if (span_totals_.size() <= name_id) span_totals_.resize(name_id + 1);
+  SpanTotals& t = span_totals_[name_id];
+  if (t.count == 0 || seconds < t.min) t.min = seconds;
+  if (t.count == 0 || seconds > t.max) t.max = seconds;
+  t.total += seconds;
+  ++t.count;
+  if (phase != Phase::None && ev.request != 0) {
+    if (RequestAccount* acc = find_locked(ev.request)) {
+      acc->phase_seconds[static_cast<std::size_t>(phase)] += seconds;
+    }
+  }
 }
 
 std::uint32_t Recorder::current_request() const {
@@ -337,13 +438,9 @@ std::uint32_t Recorder::begin_request(std::string_view text) {
     accounts_.erase(*victim);
     account_order_.erase(victim);
   }
-  Event ev;
-  ev.t_us = static_cast<std::uint64_t>(t);
+  Event ev = make_event(EventKind::RequestBegin, static_cast<std::uint64_t>(t));
   ev.request = id;
-  ev.kind = EventKind::RequestBegin;
-  ev.tid = flight_thread_id();
-  std::size_t n = std::min(text.size(), sizeof(ev.detail) - 1);
-  if (n > 0) std::memcpy(ev.detail, text.data(), n);
+  set_detail(ev, text);
   push_locked(ev);
   return id;
 }
@@ -373,16 +470,11 @@ void Recorder::end_request(std::uint32_t id, Outcome outcome,
                     (outcome == Outcome::Error || outcome == Outcome::Budget);
     export_metrics = opts_.export_metrics;
     snapshot = *acc;
-    Event ev;
-    ev.t_us = static_cast<std::uint64_t>(t);
+    Event ev = make_event(EventKind::RequestEnd, static_cast<std::uint64_t>(t));
     ev.request = id;
-    ev.kind = EventKind::RequestEnd;
     ev.a = static_cast<std::int64_t>(acc->seconds() * 1e6);
     ev.b = static_cast<std::int64_t>(acc->rollup.conflicts);
-    ev.tid = flight_thread_id();
-    auto name = outcome_name(outcome);
-    std::size_t n = std::min(name.size(), sizeof(ev.detail) - 1);
-    std::memcpy(ev.detail, name.data(), n);
+    set_detail(ev, outcome_name(outcome));
     push_locked(ev);
   }
   if (export_metrics) {
@@ -464,14 +556,6 @@ void Recorder::add_solution(std::uint32_t id, std::uint64_t builds,
   acc->splices += splices;
 }
 
-void Recorder::add_phase_seconds(std::uint32_t id, Phase p, double seconds) {
-  if (!enabled() || id == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  RequestAccount* acc = find_locked(id);
-  if (acc == nullptr) return;
-  acc->phase_seconds[static_cast<std::size_t>(p)] += seconds;
-}
-
 std::uint64_t Recorder::total_events() const {
   std::lock_guard<std::mutex> lock(mu_);
   return next_seq_;
@@ -516,11 +600,14 @@ void Recorder::clear() {
   next_seq_ = 0;
   accounts_.clear();
   account_order_.clear();
+  span_totals_.assign(span_totals_.size(), SpanTotals{});
+  kind_counts_.fill(0);
 }
 
 // ---- span tree -------------------------------------------------------------
 
-json::Value span_tree(const std::vector<Event>& events, std::uint32_t request) {
+json::Value span_tree(const std::vector<Event>& events, std::uint32_t request,
+                      const std::vector<std::string>& names) {
   struct Node {
     std::string name;
     double t_us = 0;
@@ -545,7 +632,8 @@ json::Value span_tree(const std::vector<Event>& events, std::uint32_t request) {
     if (request != 0 && ev.request != request) continue;
     if (ev.kind == EventKind::PhaseBegin) {
       Node n;
-      n.name = std::string(phase_name(ev.phase));
+      auto id = static_cast<std::size_t>(ev.b);
+      n.name = id < names.size() ? names[id] : std::string(ev.detail_view());
       n.t_us = static_cast<double>(ev.t_us);
       stacks[ev.tid].push_back(std::move(n));
     } else if (ev.kind == EventKind::PhaseEnd) {
@@ -577,92 +665,214 @@ json::Value span_tree(const std::vector<Event>& events, std::uint32_t request) {
   return json::Value(std::move(out));
 }
 
-// ---- dumps -----------------------------------------------------------------
+// ---- exports ---------------------------------------------------------------
 
-namespace {
-
-json::Value dump_header(const RecorderOptions& opts, std::size_t capacity,
-                        std::uint64_t total, std::string_view reason) {
-  json::Object o;
-  o["schema"] = "splice-flight-v1";
-  o["reason"] = reason;
-  o["capacity"] = static_cast<std::int64_t>(capacity);
-  o["total_events"] = static_cast<std::int64_t>(total);
-  std::uint64_t dropped = total > capacity ? total - capacity : 0;
-  o["dropped_events"] = static_cast<std::int64_t>(dropped);
-  o["slow_ms"] = opts.slow_ms;
-  o["slow_conflicts"] = static_cast<std::int64_t>(opts.slow_conflicts);
-  return json::Value(std::move(o));
-}
-
-}  // namespace
-
-json::Value Recorder::dump_json(std::string_view reason) const {
+json::Value Recorder::dump(std::string_view reason,
+                           std::uint32_t only_request) const {
   std::vector<Event> events;
   std::vector<RequestAccount> accounts;
-  std::uint64_t total = 0;
-  RecorderOptions opts;
+  std::vector<std::string> names;
+  json::Object doc;
   {
     std::lock_guard<std::mutex> lock(mu_);
     events = events_locked();
-    total = next_seq_;
-    opts = opts_;
-    accounts.reserve(account_order_.size());
+    names = span_names_;
     for (std::uint32_t id : account_order_) {
       auto it = accounts_.find(id);
-      if (it != accounts_.end()) accounts.push_back(it->second);
+      if (it != accounts_.end() && (only_request == 0 || id == only_request)) {
+        accounts.push_back(it->second);
+      }
     }
+    doc["schema"] = "splice-flight-v1";
+    doc["reason"] = reason;
+    doc["capacity"] = static_cast<std::int64_t>(ring_.size());
+    doc["total_events"] = static_cast<std::int64_t>(next_seq_);
+    std::uint64_t dropped =
+        next_seq_ > ring_.size() ? next_seq_ - ring_.size() : 0;
+    doc["dropped_events"] = static_cast<std::int64_t>(dropped);
+    doc["slow_ms"] = opts_.slow_ms;
+    doc["slow_conflicts"] = static_cast<std::int64_t>(opts_.slow_conflicts);
   }
-  json::Value doc = dump_header(opts, ring_.size(), total, reason);
   json::Array reqs;
   for (const RequestAccount& acc : accounts) {
     json::Value r = acc.to_json();
-    r["spans"] = span_tree(events, acc.id);
-    reqs.push_back(std::move(r));
-  }
-  doc["requests"] = json::Value(std::move(reqs));
-  json::Array evs;
-  for (const Event& ev : events) evs.push_back(ev.to_json());
-  doc["events"] = json::Value(std::move(evs));
-  return doc;
-}
-
-json::Value Recorder::dump_request_json(std::uint32_t id,
-                                        std::string_view reason) const {
-  std::vector<Event> events;
-  std::optional<RequestAccount> acc;
-  std::uint64_t total = 0;
-  RecorderOptions opts;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    events = events_locked();
-    total = next_seq_;
-    opts = opts_;
-    auto it = accounts_.find(id);
-    if (it != accounts_.end()) acc = it->second;
-  }
-  json::Value doc = dump_header(opts, ring_.size(), total, reason);
-  json::Array reqs;
-  if (acc) {
-    json::Value r = acc->to_json();
-    r["spans"] = span_tree(events, id);
+    r["spans"] = span_tree(events, acc.id, names);
     reqs.push_back(std::move(r));
   }
   doc["requests"] = json::Value(std::move(reqs));
   json::Array evs;
   for (const Event& ev : events) {
-    if (ev.request == id) evs.push_back(ev.to_json());
+    if (only_request != 0 && ev.request != only_request) continue;
+    json::Value j = ev.to_json();
+    auto id = static_cast<std::size_t>(ev.b);
+    bool span = ev.kind == EventKind::PhaseBegin ||
+                ev.kind == EventKind::PhaseEnd;
+    if (span && id < names.size()) j["detail"] = names[id];
+    evs.push_back(std::move(j));
   }
   doc["events"] = json::Value(std::move(evs));
-  return doc;
+  return json::Value(std::move(doc));
+}
+
+json::Value Recorder::dump_json(std::string_view reason) const {
+  return dump(reason, 0);
+}
+
+json::Value Recorder::dump_request_json(std::uint32_t id,
+                                        std::string_view reason) const {
+  return dump(reason, id);
 }
 
 bool Recorder::write_dump(const std::string& path,
                           std::string_view reason) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << dump_json(reason).dump_pretty() << "\n";
-  return static_cast<bool>(out);
+  return write_json_file(path, dump_json(reason));
+}
+
+json::Value Recorder::chrome_trace() const {
+  return flight::chrome_trace(dump_json("manual"));
+}
+
+json::Value Recorder::stats_json() const {
+  std::vector<std::string> names;
+  std::vector<SpanTotals> totals;
+  std::array<std::uint64_t, kNumKinds> counts{};
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    names = span_names_;
+    totals = span_totals_;
+    counts = kind_counts_;
+  }
+  json::Object spans;
+  for (std::size_t id = 0; id < totals.size(); ++id) {
+    const SpanTotals& t = totals[id];
+    if (t.count == 0) continue;
+    json::Object o;
+    o["count"] = t.count;
+    o["total_seconds"] = t.total;
+    o["mean_seconds"] = t.total / static_cast<double>(t.count);
+    o["min_seconds"] = t.min;
+    o["max_seconds"] = t.max;
+    spans[names[id]] = json::Value(std::move(o));
+  }
+  json::Object events;
+  // Request and span begin/end pairs are counted by the spans table and
+  // the request accounts; every other kind is a point event.
+  for (std::size_t k = static_cast<std::size_t>(EventKind::SatRestart);
+       k < kNumKinds; ++k) {
+    if (counts[k] > 0) {
+      events[std::string(kind_name(static_cast<EventKind>(k)))] = counts[k];
+    }
+  }
+  json::Object doc;
+  doc["schema"] = "splice-stats-v1";
+  doc["spans"] = json::Value(std::move(spans));
+  doc["events"] = json::Value(std::move(events));
+  doc["metrics"] = trace::Tracer::global().metrics().to_json();
+  return json::Value(std::move(doc));
+}
+
+namespace {
+
+double num(const json::Value& obj, const char* key) {
+  const json::Value* v = obj.find(key);
+  return v != nullptr && v->is_number() ? v->as_double() : 0;
+}
+
+std::int64_t integer(const json::Value& obj, const char* key) {
+  return static_cast<std::int64_t>(num(obj, key));
+}
+
+std::string str(const json::Value& obj, const char* key) {
+  const json::Value* v = obj.find(key);
+  return v != nullptr && v->is_string() ? v->as_string() : "";
+}
+
+json::Value chrome_event(std::string name, std::string category,
+                         const char* phase, double ts_us, std::int64_t tid,
+                         json::Object args) {
+  json::Object e;
+  e["name"] = std::move(name);
+  if (!category.empty()) e["cat"] = std::move(category);
+  e["ph"] = phase;
+  e["ts"] = ts_us;
+  e["pid"] = 1;
+  e["tid"] = tid;
+  if (!args.empty()) e["args"] = json::Value(std::move(args));
+  return json::Value(std::move(e));
+}
+
+json::Value complete_event(std::string name, std::string category,
+                           double begin_us, double end_us, std::int64_t tid,
+                           json::Object args = {}) {
+  json::Value v = chrome_event(std::move(name), std::move(category), "X",
+                               begin_us, tid, std::move(args));
+  v["dur"] = end_us > begin_us ? end_us - begin_us : 0.0;
+  return v;
+}
+
+}  // namespace
+
+json::Value chrome_trace(const json::Value& recording) {
+  static const json::Array kNone;
+  const json::Value* reqs = recording.find("requests");
+  const json::Value* evs = recording.find("events");
+  const json::Array& requests =
+      reqs != nullptr && reqs->is_array() ? reqs->as_array() : kNone;
+  const json::Array& events =
+      evs != nullptr && evs->is_array() ? evs->as_array() : kNone;
+  std::map<std::int64_t, std::string> texts;  // request id -> request text
+  for (const json::Value& r : requests) {
+    texts[integer(r, "id")] = str(r, "request");
+  }
+  std::map<std::int64_t, const json::Value*> begins;  // request id -> begin
+  json::Array out;
+  for (const json::Value& ev : events) {
+    std::string kind = str(ev, "kind");
+    double t = num(ev, "t_us");
+    std::int64_t tid = integer(ev, "tid");
+    std::int64_t req = integer(ev, "req");
+    if (kind == "request.begin") {
+      begins[req] = &ev;
+    } else if (kind == "request.end") {
+      auto it = begins.find(req);
+      if (it == begins.end()) continue;  // begin fell off the ring
+      auto text = texts.find(req);
+      out.push_back(complete_event(
+          "request " + std::to_string(req) + ": " +
+              (text != texts.end() ? text->second : str(*it->second, "detail")),
+          "flight", num(*it->second, "t_us"), t, integer(*it->second, "tid")));
+    } else if (kind == "phase.end") {
+      std::string name = str(ev, "detail");
+      std::string category;
+      if (std::size_t slash = name.find('/'); slash != std::string::npos) {
+        category = name.substr(0, slash);
+        name.erase(0, slash + 1);
+      }
+      json::Object args;
+      if (req != 0) args["req"] = req;
+      out.push_back(complete_event(std::move(name), std::move(category),
+                                   num(ev, "a"), t, tid, std::move(args)));
+    } else if (kind != "phase.begin") {
+      json::Object args;
+      args["req"] = req;
+      args["a"] = integer(ev, "a");
+      args["b"] = integer(ev, "b");
+      if (std::string detail = str(ev, "detail"); !detail.empty()) {
+        args["detail"] = std::move(detail);
+      }
+      json::Value inst =
+          chrome_event(kind, "flight", "i", t, tid, std::move(args));
+      inst["s"] = "t";  // thread-scoped
+      out.push_back(std::move(inst));
+    }
+  }
+  json::Object other;
+  other["dropped_events"] = integer(recording, "dropped_events");
+  json::Object doc;
+  doc["displayTimeUnit"] = "ms";
+  doc["traceEvents"] = json::Value(std::move(out));
+  doc["otherData"] = json::Value(std::move(other));
+  return json::Value(std::move(doc));
 }
 
 // ---- watchdog --------------------------------------------------------------
@@ -733,7 +943,7 @@ void Recorder::install_crash_handler(std::string path) {
   }
 }
 
-// ---- RequestScope / PhaseScope ---------------------------------------------
+// ---- RequestScope / Span ---------------------------------------------------
 
 RequestScope::RequestScope(std::string_view text, Recorder& recorder)
     : uncaught_(std::uncaught_exceptions()) {
@@ -760,21 +970,29 @@ void RequestScope::finish(Outcome outcome, std::string_view note) {
   rec_->end_request(id_, outcome, note);
 }
 
-PhaseScope::PhaseScope(Phase phase, Recorder& recorder)
-    : start_(std::chrono::steady_clock::now()) {
+Span::Span(std::string_view name, std::string_view category, Phase phase,
+           Recorder& recorder)
+    : phase_(phase), start_(std::chrono::steady_clock::now()) {
   if (!recorder.enabled()) return;
   rec_ = &recorder;
-  phase_ = phase;
-  rec_->emit(EventKind::PhaseBegin, 0, 0, {}, phase);
+  begin_us_ = recorder.to_us(start_);
+  std::string key(category);
+  if (!key.empty()) key += '/';
+  key += name;
+  name_id_ = recorder.begin_span(key, phase, begin_us_);
 }
 
-void PhaseScope::end() {
+double Span::seconds() const {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start_)
+      .count();
+}
+
+void Span::end() {
   if (rec_ == nullptr) return;
-  double seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start_)
-                       .count();
-  rec_->emit(EventKind::PhaseEnd, 0, 0, {}, phase_);
-  rec_->add_phase_seconds(rec_->current_request(), phase_, seconds);
+  auto now = std::chrono::steady_clock::now();
+  rec_->end_span(name_id_, phase_, begin_us_, rec_->to_us(now),
+                 std::chrono::duration<double>(now - start_).count());
   rec_ = nullptr;
 }
 

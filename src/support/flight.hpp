@@ -1,23 +1,30 @@
-// Always-on flight recorder: post-hoc forensics for the concretization
-// pipeline.
+// The flight recorder: the one event store of the concretization pipeline.
 //
-// The Tracer (trace.hpp) answers "what happened?" only when it was enabled
-// *before* the interesting request ran — useless for the one pathological
-// request in a batch of ten thousand.  The flight recorder closes that gap:
+// Every instrumented layer records into one fixed-capacity ring of compact
+// POD events, and every exporter reads from it:
 //
-//   * Recorder — a fixed-capacity, thread-safe ring buffer of compact POD
-//     events (request begin/end, phase transitions, CDCL progress
-//     snapshots, splice verdicts, install/rewire steps).  It is ON by
-//     default in every binary linking splice_support; old events are
-//     overwritten, so memory is bounded and the last window of activity is
-//     always reconstructible.
+//   * Recorder — a thread-safe ring buffer of 64-byte events (request
+//     begin/end, span begin/end, CDCL progress snapshots, splice verdicts,
+//     install/rewire steps).  It is ON by default in every binary linking
+//     splice_support; old events are overwritten, so memory is bounded and
+//     the last window of activity is always reconstructible.  Alongside the
+//     ring it keeps exact running aggregates (per-span count/total/min/max,
+//     per-kind event counts) that survive wraparound.
+//   * Span — the one RAII scope type.  It records begin/end into the ring
+//     and, when given a Phase, accumulates its duration into the current
+//     request's account.
 //   * Per-request accounting — RequestScope gives each concretization (or
 //     audit group, or explain probe) a stable numeric id; phase durations,
 //     solver stat rollups and the outcome accumulate into a bounded table
 //     of RequestAccounts.
+//   * Exports — `splice-flight-v1` dumps (whole ring or one request with its
+//     span tree), Chrome trace-event JSON derived from a dump (chrome_trace,
+//     loadable in chrome://tracing and Perfetto) and `splice-stats-v1`
+//     (stats_json: the span aggregates, event counts and the metrics
+//     registry).
 //   * Slow-request log — a request whose latency or conflict count crosses
 //     a configurable threshold automatically dumps its account, its event
-//     slice and the derived span tree as a `splice-flight-v1` JSON file.
+//     slice and the derived span tree.
 //   * Watchdog / abnormal-exit dumps — an optional watchdog thread dumps
 //     the ring when a request overstays its budget; fatal-signal and
 //     at-exit hooks flush it to disk so crashes and hangs are diagnosable
@@ -37,6 +44,8 @@
 //   SPLICE_FLIGHT_EXIT=<file>        dump the full ring at process exit
 //   SPLICE_FLIGHT_CRASH=<file>       dump on SIGSEGV/SIGBUS/SIGABRT/...
 //   SPLICE_FLIGHT_WATCHDOG_MS=<n>    dump requests still active after n ms
+//   SPLICE_TRACE=<file>              record, and write the Chrome trace at exit
+//   SPLICE_TRACE_STATS=<file>        record, and write splice-stats-v1 at exit
 // Malformed values warn once on stderr and fall back to the default; they
 // are never silently dropped.
 #pragma once
@@ -59,14 +68,13 @@
 
 namespace splice::flight {
 
-/// What an event records.  The JSON names (kind_name) follow the tracer's
-/// event taxonomy ("sat.restart", "asp.bound", ...) so the two layers read
-/// the same in a dump.
+/// What an event records.  kind_name gives the JSON name ("sat.restart",
+/// "asp.bound", ...), which is also the event's key in splice-stats-v1.
 enum class EventKind : std::uint8_t {
-  RequestBegin,
-  RequestEnd,
-  PhaseBegin,
-  PhaseEnd,
+  RequestBegin,   ///< detail = request text (truncated)
+  RequestEnd,     ///< a = latency us, b = conflicts, detail = outcome
+  PhaseBegin,     ///< span opened (b = span name id, detail = span name)
+  PhaseEnd,       ///< span closed (a = its begin t_us, b = span name id)
   SatRestart,     ///< CDCL restart (a = cumulative conflicts)
   SatConflicts,   ///< conflict batch tick (a = cumulative conflicts)
   ModelFound,     ///< candidate stable model (a = models, b = conflicts)
@@ -79,6 +87,9 @@ enum class EventKind : std::uint8_t {
   RewireStep,     ///< binary rewired (a = bytes, detail = package)
   Mark,           ///< free-form point annotation
 };
+
+inline constexpr std::size_t kNumKinds =
+    static_cast<std::size_t>(EventKind::Mark) + 1;
 
 std::string_view kind_name(EventKind k);
 
@@ -113,7 +124,7 @@ struct Event {
   std::uint32_t request = 0;  ///< owning request id; 0 = unattributed
   EventKind kind = EventKind::Mark;
   Phase phase = Phase::None;
-  std::uint16_t tid = 0;   ///< small per-thread id (same scheme as Tracer)
+  std::uint16_t tid = 0;   ///< small consecutive per-thread id
   char detail[24] = {};    ///< NUL-terminated, truncated label
 
   std::string_view detail_view() const {
@@ -188,8 +199,8 @@ class Recorder {
  public:
   explicit Recorder(RecorderOptions opts = {});
 
-  /// The singleton.  First access honours the SPLICE_FLIGHT_* environment
-  /// hooks (capacity, thresholds, exit/crash/watchdog dumps).
+  /// The singleton.  First access honours the environment hooks listed at
+  /// the top of this file.
   static Recorder& global();
 
   bool enabled() const {
@@ -202,7 +213,8 @@ class Recorder {
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
 
   const RecorderOptions& options() const { return opts_; }
-  /// Replace the configuration; drops all recorded events and accounts.
+  /// Replace the configuration; drops all recorded events, accounts and
+  /// aggregates.
   void configure(RecorderOptions opts);
 
   /// Microseconds since this recorder's epoch.
@@ -245,14 +257,22 @@ class Recorder {
   std::vector<RequestAccount> requests() const;
   std::optional<RequestAccount> request(std::uint32_t id) const;
 
-  // -- dumps (`splice-flight-v1`) -------------------------------------------
+  // -- exports --------------------------------------------------------------
 
-  /// Whole-ring dump: every retained account + the full event window.
+  /// Whole-ring dump (`splice-flight-v1`): every retained account + the full
+  /// event window.
   json::Value dump_json(std::string_view reason) const;
   /// Single-request dump: that account, its event slice and span tree.
   json::Value dump_request_json(std::uint32_t id,
                                 std::string_view reason) const;
   bool write_dump(const std::string& path, std::string_view reason) const;
+
+  /// chrome_trace() of the whole-ring dump.
+  json::Value chrome_trace() const;
+  /// `splice-stats-v1`: every span aggregated by name since the last clear
+  /// (count, total/mean/min/max seconds; exact even after the ring wraps),
+  /// per-kind counts of the other events, and the global metrics registry.
+  json::Value stats_json() const;
 
   /// Start a daemon watchdog: any request still active after `ms`
   /// milliseconds triggers one whole-ring dump into options().dump_dir.
@@ -262,16 +282,32 @@ class Recorder {
   /// recorder that flush the ring to `path` before re-raising.
   static void install_crash_handler(std::string path);
 
-  /// Drop all events and accounts (not the configuration).
+  /// Drop all events, accounts and aggregates (not the configuration).
   void clear();
 
  private:
   friend class RequestScope;
+  friend class Span;
+
+  /// Exact running aggregate of one span name.
+  struct SpanTotals {
+    std::uint64_t count = 0;
+    double total = 0, min = 0, max = 0;
+  };
 
   void do_emit(EventKind kind, std::int64_t a, std::int64_t b,
                std::string_view detail, Phase phase);
+  /// Whole microseconds from this recorder's epoch to `t` (0 if earlier).
+  std::uint64_t to_us(std::chrono::steady_clock::time_point t) const;
+  Event make_event(EventKind kind, std::uint64_t t_us) const;
   void push_locked(Event ev);
+  std::uint32_t begin_span(std::string_view name, Phase phase,
+                           std::uint64_t t_us);
+  void end_span(std::uint32_t name_id, Phase phase, std::uint64_t begin_us,
+                std::uint64_t end_us, double seconds);
   std::vector<Event> events_locked() const;
+  /// The dump behind dump_json (only_request 0) and dump_request_json.
+  json::Value dump(std::string_view reason, std::uint32_t only_request) const;
   RequestAccount* find_locked(std::uint32_t id);
   /// Dump-file path for an automatic dump; "" when dumping is off.
   std::string auto_dump_path(const RequestAccount& acc,
@@ -287,6 +323,11 @@ class Recorder {
   std::uint32_t next_request_ = 1;
   std::map<std::uint32_t, RequestAccount> accounts_;
   std::deque<std::uint32_t> account_order_;
+  /// Span names by id ("category/name"); never cleared, so ids stay valid.
+  std::vector<std::string> span_names_;
+  std::map<std::string, std::uint32_t, std::less<>> span_ids_;
+  std::vector<SpanTotals> span_totals_;       ///< by span name id
+  std::array<std::uint64_t, kNumKinds> kind_counts_{};
   std::atomic<bool> watchdog_running_{false};
 };
 
@@ -315,21 +356,32 @@ class RequestScope {
   bool finished_ = false;
 };
 
-/// RAII phase marker: emits PhaseBegin/PhaseEnd events and accumulates the
-/// wall-clock duration into the current request's account.
-class PhaseScope {
+/// RAII timed scope, the one span type.  Records a phase.begin event at
+/// construction and a phase.end event (carrying the begin time, so a span
+/// whose begin fell off the ring still exports whole) at destruction or
+/// end().  Its duration folds into the recorder's span aggregate for
+/// "category/name" and, when `phase` is not None, into the current
+/// request's phase account.  seconds() works whether or not recording is on.
+class Span {
  public:
-  explicit PhaseScope(Phase phase, Recorder& recorder = Recorder::global());
-  ~PhaseScope() { end(); }
+  explicit Span(std::string_view name, std::string_view category = "",
+                Phase phase = Phase::None,
+                Recorder& recorder = Recorder::global());
+  ~Span() { end(); }
 
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
 
+  /// Wall-clock seconds since construction.
+  double seconds() const;
+  /// End the span now instead of at scope exit.  Idempotent.
   void end();
 
  private:
   Recorder* rec_ = nullptr;  ///< null when recording is off
   Phase phase_ = Phase::None;
+  std::uint32_t name_id_ = 0;
+  std::uint64_t begin_us_ = 0;
   std::chrono::steady_clock::time_point start_;
 };
 
@@ -343,7 +395,17 @@ double env_double(const char* var, const char* value, double fallback);
 
 /// Derive the nested span tree for one request from its PhaseBegin/PhaseEnd
 /// event slice (per-thread stacks; unmatched events from ring wraparound are
-/// tolerated).  Returns an array of {name, t_us, dur_us, children}.
-json::Value span_tree(const std::vector<Event>& events, std::uint32_t request);
+/// tolerated).  Nodes are named from `names` (the recorder's span names, by
+/// id), falling back to the event detail.  Returns an array of
+/// {name, t_us, dur_us, children}.
+json::Value span_tree(const std::vector<Event>& events, std::uint32_t request,
+                      const std::vector<std::string>& names = {});
+
+/// Chrome trace-event JSON from a `splice-flight-v1` document: each span
+/// becomes a complete ("X") event on the thread that ran it, each finished
+/// request a complete event on the thread that began it, every other event
+/// a thread-scoped instant ("i") whose args carry its payload.
+/// otherData.dropped_events reports how many events fell off the ring.
+json::Value chrome_trace(const json::Value& recording);
 
 }  // namespace splice::flight

@@ -1,11 +1,7 @@
 #include "src/support/trace.hpp"
 
 #include <algorithm>
-
-#include "src/support/chrome.hpp"
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 
 namespace splice::trace {
 
@@ -259,25 +255,6 @@ std::string MetricsRegistry::metrics_text(std::string_view prefix) const {
 
 // ---- Tracer ----------------------------------------------------------------
 
-namespace {
-
-thread_local std::uint32_t t_depth = 0;
-
-/// Small consecutive thread ids keep Chrome trace rows compact.
-std::uint32_t next_thread_id() {
-  static std::atomic<std::uint32_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
-
-std::uint32_t Tracer::thread_id() {
-  thread_local std::uint32_t id = next_thread_id();
-  return id;
-}
-
-Tracer::Tracer() : epoch_(std::chrono::steady_clock::now()) {}
-
 bool env_export_path_ok(const char* var, const char* value) {
   if (value == nullptr) return false;
   std::string_view v(value);
@@ -292,188 +269,9 @@ bool env_export_path_ok(const char* var, const char* value) {
 }
 
 Tracer& Tracer::global() {
-  static Tracer* tracer = [] {
-    auto* t = new Tracer();  // never destroyed: usable from atexit handlers
-    bool trace_ok =
-        env_export_path_ok("SPLICE_TRACE", std::getenv("SPLICE_TRACE"));
-    bool stats_ok = env_export_path_ok("SPLICE_TRACE_STATS",
-                                       std::getenv("SPLICE_TRACE_STATS"));
-    if (trace_ok || stats_ok) {
-      t->set_enabled(true);
-      std::atexit([] {
-        Tracer& g = Tracer::global();
-        if (const char* p = std::getenv("SPLICE_TRACE"); p && *p) {
-          if (!g.write_chrome_trace(p)) {
-            std::fprintf(stderr,
-                         "splice: warning: SPLICE_TRACE: cannot write "
-                         "chrome trace to \"%s\"\n",
-                         p);
-          }
-        }
-        if (const char* p = std::getenv("SPLICE_TRACE_STATS"); p && *p) {
-          if (!g.write_stats(p)) {
-            std::fprintf(stderr,
-                         "splice: warning: SPLICE_TRACE_STATS: cannot write "
-                         "stats to \"%s\"\n",
-                         p);
-          }
-        }
-      });
-    }
-    return t;
-  }();
+  // Never destroyed: usable from atexit handlers.
+  static Tracer* tracer = new Tracer();
   return *tracer;
-}
-
-double Tracer::now_us() const {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
-}
-
-void Tracer::instant(std::string_view name, std::string_view category,
-                     std::vector<std::pair<std::string, json::Value>> args) {
-  if (!enabled()) return;
-  TraceEvent ev;
-  ev.name = std::string(name);
-  ev.category = std::string(category);
-  ev.phase = TraceEvent::Phase::Instant;
-  ev.ts_us = now_us();
-  ev.tid = thread_id();
-  ev.depth = t_depth;
-  ev.args = std::move(args);
-  record(std::move(ev));
-}
-
-void Tracer::record(TraceEvent ev) {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(std::move(ev));
-}
-
-std::vector<TraceEvent> Tracer::events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_;
-}
-
-json::Value Tracer::chrome_trace() const {
-  json::Array out;
-  for (const TraceEvent& ev : events()) {
-    json::Object args;
-    for (const auto& [k, v] : ev.args) args[k] = v;
-    auto tid = static_cast<std::int64_t>(ev.tid);
-    out.push_back(ev.phase == TraceEvent::Phase::Complete
-                      ? chrome::complete_event(ev.name, ev.category, ev.ts_us,
-                                               ev.dur_us, tid, std::move(args))
-                      : chrome::instant_event(ev.name, ev.category, ev.ts_us,
-                                              tid, std::move(args)));
-  }
-  return chrome::document(std::move(out));
-}
-
-json::Value Tracer::stats_json() const {
-  struct SpanAgg {
-    std::size_t count = 0;
-    double total = 0, min = 0, max = 0;
-  };
-  std::map<std::string, SpanAgg> spans;
-  std::map<std::string, std::int64_t> instants;
-  for (const TraceEvent& ev : events()) {
-    std::string key =
-        ev.category.empty() ? ev.name : ev.category + "/" + ev.name;
-    if (ev.phase == TraceEvent::Phase::Instant) {
-      ++instants[key];
-      continue;
-    }
-    SpanAgg& a = spans[key];
-    double s = ev.dur_us * 1e-6;
-    if (a.count == 0 || s < a.min) a.min = s;
-    if (a.count == 0 || s > a.max) a.max = s;
-    a.total += s;
-    ++a.count;
-  }
-  json::Object doc;
-  doc["schema"] = "splice-stats-v1";
-  json::Object jspans;
-  for (const auto& [key, a] : spans) {
-    json::Object o;
-    o["count"] = static_cast<std::int64_t>(a.count);
-    o["total_seconds"] = a.total;
-    o["mean_seconds"] = a.total / static_cast<double>(a.count);
-    o["min_seconds"] = a.min;
-    o["max_seconds"] = a.max;
-    jspans[key] = json::Value(std::move(o));
-  }
-  doc["spans"] = json::Value(std::move(jspans));
-  json::Object jevents;
-  for (const auto& [key, n] : instants) jevents[key] = n;
-  doc["events"] = json::Value(std::move(jevents));
-  doc["metrics"] = metrics_.to_json();
-  return json::Value(std::move(doc));
-}
-
-namespace {
-
-bool write_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << text << "\n";
-  return static_cast<bool>(out);
-}
-
-}  // namespace
-
-bool Tracer::write_chrome_trace(const std::string& path) const {
-  return write_file(path, chrome_trace().dump_pretty());
-}
-
-bool Tracer::write_stats(const std::string& path) const {
-  return write_file(path, stats_json().dump_pretty());
-}
-
-void Tracer::clear() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    events_.clear();
-  }
-  metrics_.clear();
-}
-
-// ---- Span ------------------------------------------------------------------
-
-Span::Span(std::string_view name, std::string_view category, Tracer& tracer)
-    : start_(std::chrono::steady_clock::now()) {
-  if (!tracer.enabled()) return;  // seconds() still works off start_
-  tracer_ = &tracer;
-  ev_.name = std::string(name);
-  ev_.category = std::string(category);
-  ev_.ts_us = std::chrono::duration<double, std::micro>(start_ - tracer.epoch_)
-                  .count();
-  ev_.tid = Tracer::thread_id();
-  ev_.depth = t_depth++;
-}
-
-Span::~Span() { end(); }
-
-void Span::attr(std::string_view key, json::Value value) {
-  if (tracer_ == nullptr) return;
-  ev_.args.emplace_back(std::string(key), std::move(value));
-}
-
-double Span::seconds() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start_)
-      .count();
-}
-
-void Span::end() {
-  if (tracer_ == nullptr) return;
-  ev_.dur_us =
-      std::chrono::duration<double, std::micro>(
-          std::chrono::steady_clock::now() - start_)
-          .count();
-  --t_depth;
-  tracer_->record(std::move(ev_));
-  tracer_ = nullptr;
 }
 
 }  // namespace splice::trace

@@ -1,31 +1,15 @@
-// Unified tracing & metrics: the observability substrate under the whole
-// concretization pipeline.
+// Process metrics: named counters, gauges and histograms (with nearest-rank
+// percentiles), for quantities that aggregate rather than nest
+// (per-predicate ground-atom counts, rewire bytes written, pool request
+// latencies).  Zero-dependency: the in-tree JSON DOM and a mutex.
 //
-// Three pieces, all zero-dependency (steady_clock + the in-tree JSON DOM):
-//
-//   * Tracer — a process-wide event sink.  RAII `Span`s record nested,
-//     thread-aware wall-clock intervals with key/value attributes; `instant`
-//     records point events (solver restarts, optimization bound
-//     improvements).  Default-off: when disabled a Span costs one clock
-//     read and records nothing, so instrumentation stays compiled into
-//     release builds.
-//   * MetricsRegistry — named counters, gauges and histograms (with
-//     nearest-rank percentiles), for quantities that aggregate rather than
-//     nest (per-predicate ground-atom counts, rewire bytes written).
-//   * Exporters — Chrome trace-event JSON (`chrome_trace`, loadable in
-//     chrome://tracing and Perfetto) and a flat stats JSON (`stats_json`,
-//     schema "splice-stats-v1") that the bench harness and the `splice`
-//     driver both emit, so every perf claim in this repo reports through one
-//     format.
-//
-// Environment hook: setting SPLICE_TRACE=<file> enables the global tracer
-// at startup and dumps the Chrome trace to <file> at process exit
-// (SPLICE_TRACE_STATS=<file> additionally dumps the stats JSON).  Works in
-// every binary linking splice_support: tools, benches, tests, examples.
+// Events and spans are not recorded here: they go to the flight recorder
+// (flight.hpp), which also owns the Chrome trace and splice-stats-v1
+// exports and the SPLICE_TRACE / SPLICE_TRACE_STATS environment hooks.  The
+// stats export embeds this registry; `metrics_text` renders it as
+// Prometheus text.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -36,21 +20,6 @@
 #include "src/support/json.hpp"
 
 namespace splice::trace {
-
-/// One recorded event.  Complete events carry a duration; instant events
-/// mark a point in time.  Timestamps are microseconds since the tracer's
-/// epoch (steady clock), as Chrome trace-event "ts" expects.
-struct TraceEvent {
-  enum class Phase : std::uint8_t { Complete, Instant };
-  std::string name;
-  std::string category;
-  Phase phase = Phase::Complete;
-  double ts_us = 0;
-  double dur_us = 0;             ///< Complete events only
-  std::uint32_t tid = 0;         ///< small per-thread id, not the OS tid
-  std::uint32_t depth = 0;       ///< span nesting depth at record time
-  std::vector<std::pair<std::string, json::Value>> args;
-};
 
 /// Counters, gauges and histograms keyed by name.  Thread-safe; all
 /// operations are cheap enough for per-solve (not per-propagation) use.
@@ -91,95 +60,23 @@ class MetricsRegistry {
   std::map<std::string, std::vector<double>> histograms_;
 };
 
-class Span;
-
-/// The process-wide event sink.  All pipeline instrumentation records into
-/// `Tracer::global()`; tests may construct private instances.
+/// Holder of the process-wide metrics registry.
 class Tracer {
  public:
-  Tracer();
-
-  /// The singleton used by the instrumented pipeline.  First access honours
-  /// the SPLICE_TRACE / SPLICE_TRACE_STATS environment hooks.
+  /// The singleton used by the instrumented pipeline.
   static Tracer& global();
-
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
 
-  /// Record a point event (no-op when disabled).
-  void instant(std::string_view name, std::string_view category = "",
-               std::vector<std::pair<std::string, json::Value>> args = {});
-
-  /// Microseconds since this tracer's epoch.
-  double now_us() const;
-
-  /// Snapshot of every recorded event, in completion order.
-  std::vector<TraceEvent> events() const;
-
-  /// Chrome trace-event JSON: {"displayTimeUnit": "ms", "traceEvents": [...]}.
-  json::Value chrome_trace() const;
-
-  /// Flat stats JSON, schema "splice-stats-v1": spans aggregated by
-  /// category/name (count, total/mean/min/max seconds), instant-event
-  /// counts, and the metrics registry.
-  json::Value stats_json() const;
-
-  /// Write the corresponding export to a file; returns false on I/O error.
-  bool write_chrome_trace(const std::string& path) const;
-  bool write_stats(const std::string& path) const;
-
-  /// Drop all recorded events and metrics (not the enabled flag).
-  void clear();
-
  private:
-  friend class Span;
-  void record(TraceEvent ev);
-  static std::uint32_t thread_id();
-
-  std::atomic<bool> enabled_{false};
-  std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mu_;
-  std::vector<TraceEvent> events_;
   MetricsRegistry metrics_;
-};
-
-/// RAII timed interval.  Constructed against the global tracer by default;
-/// records a Complete event at destruction (or explicit end()).  When the
-/// tracer is disabled at construction the span only captures a start time
-/// (so seconds() still works for callers that time with spans) and records
-/// nothing.
-class Span {
- public:
-  explicit Span(std::string_view name, std::string_view category = "",
-                Tracer& tracer = Tracer::global());
-  ~Span();
-
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-
-  /// Attach a key/value attribute (no-op when recording is off).
-  void attr(std::string_view key, json::Value value);
-
-  /// Wall-clock seconds elapsed since construction; valid any time,
-  /// enabled or not.
-  double seconds() const;
-
-  /// End the span now instead of at scope exit.  Idempotent.
-  void end();
-
- private:
-  Tracer* tracer_ = nullptr;  ///< null when recording is off
-  std::chrono::steady_clock::time_point start_;
-  TraceEvent ev_;             ///< name/category/args staging (when recording)
 };
 
 /// True when `value` names a usable export path for environment hook `var`.
 /// A set-but-blank value (empty or all-whitespace) emits one stderr warning
 /// naming the variable instead of being silently dropped; unset (nullptr)
-/// is silently false.  Used by Tracer::global() for SPLICE_TRACE /
+/// is silently false.  Used by flight::Recorder::global() for SPLICE_TRACE /
 /// SPLICE_TRACE_STATS; exposed for tests.
 bool env_export_path_ok(const char* var, const char* value);
 

@@ -91,6 +91,69 @@ splice("flight", "chrome", out("flight", "flight-full.json"),
        "-o", out("flight", "chrome.json"))
 trace_check(out("flight", "chrome.json"))
 
+# One thread row per worker in the Chrome export: each request sits on the
+# thread that began it, so on every row the complete events nest or are
+# disjoint, and there are at most workers + 1 (the main thread) rows.
+def check_rows(path, workers):
+    rows = {}
+    for ev in load(path)["traceEvents"]:
+        if ev["ph"] == "X":
+            rows.setdefault(ev["tid"], []).append((ev["ts"],
+                                                   ev["ts"] + ev["dur"]))
+    for tid, spans in rows.items():
+        spans.sort(key=lambda s: (s[0], -s[1]))
+        open_ends = []
+        for begin, end in spans:
+            while open_ends and open_ends[-1] <= begin:
+                open_ends.pop()
+            assert not open_ends or end <= open_ends[-1], \
+                f"{path}: tid {tid}: [{begin}, {end}] partially overlaps " \
+                f"an event ending at {open_ends[-1]}"
+            open_ends.append(end)
+    tids = {ev["tid"] for ev in load(path)["traceEvents"]}
+    assert len(tids) <= workers + 1, \
+        f"{path}: {len(tids)} thread rows for {workers} workers"
+
+
+splice("concretize", "--splice", "--jobs", "4", "--json", out("jobs4.json"),
+       "--flight", out("jobs4-flight.json"), "--trace", out("jobs4-trace.json"))
+splice("flight", "chrome", out("jobs4-flight.json"),
+       "-o", out("jobs4-chrome.json"))
+trace_check(out("jobs4-flight.json"), out("jobs4-chrome.json"),
+            out("jobs4-trace.json"))
+workers = load(out("jobs4.json"))["workers"]
+check_rows(out("jobs4-chrome.json"), workers)
+check_rows(out("jobs4-trace.json"), workers)
+print(f"chrome thread rows nest on {workers} worker(s)")
+
+# splice-stats-v1 stays exact after the ring wraps, and the Chrome trace
+# says how many events fell off.
+splice("concretize", "--splice", "--stats", out("wrap-stats.json"),
+       "--trace", out("wrap-trace.json"), env={"SPLICE_FLIGHT_CAPACITY": "64"})
+trace_check(out("wrap-stats.json"), out("wrap-trace.json"))
+count = load(out("wrap-stats.json"))["spans"]["concretize/concretize"]["count"]
+assert count == 32, f"stats lost spans after wraparound: {count} != 32"
+dropped = load(out("wrap-trace.json"))["otherData"]["dropped_events"]
+assert dropped > 0, f"a 64-event ring over 32 requests dropped {dropped}"
+print(f"stats exact after wraparound ({dropped} events dropped)")
+
+# The environment hooks write both exports at exit; --trace/--stats switch
+# recording on even under SPLICE_FLIGHT=off.
+splice("concretize", "--splice", "visit ^mpiabi",
+       env={"SPLICE_TRACE": out("env-trace.json"),
+            "SPLICE_TRACE_STATS": out("env-stats.json")})
+trace_check(out("env-trace.json"), out("env-stats.json"))
+assert load(out("env-stats.json"))["spans"]["concretize/concretize"][
+    "count"] == 1
+splice("concretize", "--splice", "--stats", out("off-stats.json"),
+       "--trace", out("off-trace.json"), "visit ^mpiabi",
+       env={"SPLICE_FLIGHT": "off"})
+trace_check(out("off-stats.json"), out("off-trace.json"))
+assert load(out("off-stats.json"))["spans"]["concretize/concretize"][
+    "count"] == 1
+assert any(ev["ph"] == "X" for ev in load(out("off-trace.json"))["traceEvents"])
+print("trace env hooks honoured")
+
 # Batch every RADIUSS root on 8 workers, pruned and unpruned.  `builds` is
 # the top-priority objective, so equal-cost ties cannot change it.
 splice("concretize", "--splice", "--jobs", "8", "--json", out("batch.json"),

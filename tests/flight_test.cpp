@@ -28,11 +28,11 @@ using flight::Event;
 using flight::EventKind;
 using flight::Outcome;
 using flight::Phase;
-using flight::PhaseScope;
 using flight::Recorder;
 using flight::RecorderOptions;
 using flight::RequestAccount;
 using flight::RequestScope;
+using flight::Span;
 
 RecorderOptions small_opts(std::size_t capacity) {
   RecorderOptions opts;
@@ -110,7 +110,7 @@ TEST(FlightRecorderTest, DisabledRecorderRecordsNothing) {
   {
     RequestScope scope("also invisible", rec);
     EXPECT_EQ(scope.id(), 0u);
-    PhaseScope phase(Phase::Solve, rec);
+    Span phase("solve", "", Phase::Solve, rec);
   }
   EXPECT_EQ(rec.total_events(), 0u);
   EXPECT_TRUE(rec.requests().empty());
@@ -125,7 +125,7 @@ TEST(FlightRecorderTest, RequestAccountingAndThreadBinding) {
     ASSERT_NE(id, 0u);
     EXPECT_EQ(rec.current_request(), id);
     {
-      PhaseScope ground(Phase::Ground, rec);
+      Span ground("ground", "", Phase::Ground, rec);
       rec.emit(EventKind::GroundDone, 100, 50, {}, Phase::Ground);
     }
     flight::Rollup roll;
@@ -221,7 +221,7 @@ TEST(FlightRecorderTest, ConcurrentWritersAreRaceFreeAndLoseNothing) {
     threads.emplace_back([&rec, t] {
       RequestScope scope("writer " + std::to_string(t), rec);
       for (int i = 0; i < kEventsPerThread; ++i) {
-        PhaseScope phase(Phase::Solve, rec);
+        Span phase("solve", "", Phase::Solve, rec);
         rec.emit(EventKind::SatConflicts, i, t, "tick", Phase::Solve);
       }
     });
@@ -259,7 +259,7 @@ TEST(FlightDumpTest, SlowRequestAutoDumpMatchesGoldenShape) {
   {
     RequestScope scope("laghos ^mpiabi", rec);
     id = scope.id();
-    PhaseScope solve(Phase::Solve, rec);
+    Span solve("solve", "", Phase::Solve, rec);
     rec.emit(EventKind::SatRestart, 42, 0, {}, Phase::Solve);
   }
   ASSERT_TRUE(rec.request(id).has_value());
@@ -309,8 +309,8 @@ TEST(FlightDumpTest, SpanTreeNestsPhasesPerThread) {
   {
     RequestScope scope("nested phases", rec);
     id = scope.id();
-    PhaseScope ground(Phase::Ground, rec);
-    { PhaseScope solve(Phase::Solve, rec); }
+    Span ground("ground", "", Phase::Ground, rec);
+    { Span solve("solve", "", Phase::Solve, rec); }
   }
   json::Value doc = rec.dump_request_json(id, "manual");
   const json::Value* spans = doc.find("requests")->as_array()[0].find("spans");
@@ -339,6 +339,41 @@ TEST(FlightDumpTest, SpanTreeToleratesWraparoundOrphans) {
   events.push_back(end);
   json::Value tree = flight::span_tree(events, 1);
   EXPECT_TRUE(tree.as_array().empty());
+}
+
+/// splice-stats-v1 comes from running aggregates, not from the ring: they
+/// stay exact after the ring wraps, and the Chrome export reports how many
+/// events fell off.
+TEST(FlightStatsTest, AggregatesStayExactAfterWraparound) {
+  Recorder rec(small_opts(8));
+  constexpr int kSpans = 100;
+  for (int i = 0; i < kSpans; ++i) {
+    Span span("work", "test", Phase::None, rec);
+    rec.emit(EventKind::Mark);
+  }
+  json::Value stats = json::parse(rec.stats_json().dump());
+  EXPECT_EQ(stats.find("schema")->as_string(), "splice-stats-v1");
+  const json::Value* work = stats.find("spans")->find("test/work");
+  ASSERT_NE(work, nullptr);
+  EXPECT_EQ(work->find("count")->as_int(), kSpans);
+  EXPECT_LE(work->find("min_seconds")->as_double(),
+            work->find("max_seconds")->as_double());
+  EXPECT_EQ(stats.find("events")->find("mark")->as_int(), kSpans);
+
+  json::Value chrome = json::parse(rec.chrome_trace().dump());
+  EXPECT_EQ(chrome.find("otherData")->find("dropped_events")->as_int(),
+            3 * kSpans - 8);
+  // A span end carries its begin time, so spans whose begin fell off the
+  // ring still export whole.
+  std::size_t spans = 0;
+  for (const json::Value& ev : chrome.find("traceEvents")->as_array()) {
+    if (ev.find("ph")->as_string() != "X") continue;
+    ++spans;
+    EXPECT_EQ(ev.find("name")->as_string(), "work");
+    EXPECT_EQ(ev.find("cat")->as_string(), "test");
+    EXPECT_GE(ev.find("dur")->as_double(), 0.0);
+  }
+  EXPECT_GT(spans, 0u);
 }
 
 TEST(FlightEnvTest, MalformedValuesWarnOnceAndFallBack) {

@@ -1,9 +1,10 @@
-// Tests for the tracing & metrics layer: span mechanics, attribute
+// Tests for spans and metrics: span mechanics in the flight ring, payload
 // round-trips through the Chrome exporter, histogram percentiles, solver
 // progress events, thread safety, and the end-to-end guarantee that the
 // concretizer's phase spans account for the full pipeline span.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <string>
@@ -12,6 +13,7 @@
 
 #include "src/asp/asp.hpp"
 #include "src/concretize/concretizer.hpp"
+#include "src/support/flight.hpp"
 #include "src/support/json.hpp"
 #include "src/support/trace.hpp"
 #include "src/workload/caches.hpp"
@@ -20,95 +22,145 @@
 namespace {
 
 using namespace splice;
+using flight::Event;
+using flight::EventKind;
+using flight::Phase;
+using flight::Recorder;
+using flight::RecorderOptions;
+using flight::RequestScope;
+using flight::Span;
 using trace::MetricsRegistry;
-using trace::Span;
-using trace::TraceEvent;
-using trace::Tracer;
+
+/// A private recorder that keeps the global metrics registry clean.
+RecorderOptions private_opts(std::size_t capacity = 1024) {
+  RecorderOptions opts;
+  opts.capacity = capacity;
+  opts.export_metrics = false;
+  return opts;
+}
 
 TEST(SpanTest, NestingOrderingAndDepth) {
-  Tracer tracer;
-  tracer.set_enabled(true);
+  Recorder rec(private_opts());
+  std::uint32_t id = 0;
   {
-    Span outer("outer", "test", tracer);
+    RequestScope request("nesting", rec);
+    id = request.id();
+    Span outer("outer", "test", Phase::None, rec);
     {
-      Span middle("middle", "test", tracer);
-      Span inner("inner", "test", tracer);
+      Span middle("middle", "test", Phase::None, rec);
+      Span inner("inner", "test", Phase::None, rec);
     }
   }
-  std::vector<TraceEvent> events = tracer.events();
-  ASSERT_EQ(events.size(), 3u);
-  // Completion order: innermost first.
-  EXPECT_EQ(events[0].name, "inner");
-  EXPECT_EQ(events[1].name, "middle");
-  EXPECT_EQ(events[2].name, "outer");
-  EXPECT_EQ(events[0].depth, 2u);
-  EXPECT_EQ(events[1].depth, 1u);
-  EXPECT_EQ(events[2].depth, 0u);
-  // Start order and containment: outer starts first and lasts longest.
-  EXPECT_LE(events[2].ts_us, events[1].ts_us);
-  EXPECT_LE(events[1].ts_us, events[0].ts_us);
-  EXPECT_GE(events[2].dur_us, events[1].dur_us);
-  EXPECT_GE(events[1].dur_us, events[0].dur_us);
-  for (const TraceEvent& ev : events) EXPECT_EQ(ev.category, "test");
+  // Begins in construction order, ends innermost first; each end carries
+  // its begin time.
+  std::vector<Event> spans;
+  for (const Event& ev : rec.events()) {
+    if (ev.kind == EventKind::PhaseBegin || ev.kind == EventKind::PhaseEnd) {
+      spans.push_back(ev);
+    }
+  }
+  ASSERT_EQ(spans.size(), 6u);
+  const char* order[] = {"test/outer", "test/middle", "test/inner",
+                         "test/inner", "test/middle", "test/outer"};
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(spans[i].kind,
+              i < 3 ? EventKind::PhaseBegin : EventKind::PhaseEnd);
+    EXPECT_EQ(spans[i].detail_view(), order[i]);
+    EXPECT_EQ(spans[i].request, id);
+  }
+  EXPECT_EQ(static_cast<std::uint64_t>(spans[3].a), spans[2].t_us);
+  EXPECT_EQ(static_cast<std::uint64_t>(spans[5].a), spans[0].t_us);
+
+  // The request's span tree nests them by depth.
+  json::Value doc = rec.dump_request_json(id, "manual");
+  const json::Value& tree = *doc.find("requests")->as_array()[0].find("spans");
+  ASSERT_EQ(tree.as_array().size(), 1u);
+  const json::Value* node = &tree.as_array()[0];
+  for (const char* name : {"test/outer", "test/middle", "test/inner"}) {
+    ASSERT_NE(node, nullptr);
+    EXPECT_EQ(node->find("name")->as_string(), name);
+    const json::Value* kids = node->find("children");
+    node = kids != nullptr ? &kids->as_array()[0] : nullptr;
+  }
+  EXPECT_EQ(node, nullptr);
 }
 
 TEST(SpanTest, DisabledTracerRecordsNothingButStillTimes) {
-  Tracer tracer;  // disabled by default
-  Span span("invisible", "test", tracer);
-  span.attr("ignored", 1);
+  Recorder rec(private_opts());
+  rec.set_enabled(false);
+  Span span("invisible", "test", Phase::Solve, rec);
   EXPECT_GE(span.seconds(), 0.0);
   span.end();
-  EXPECT_TRUE(tracer.events().empty());
+  EXPECT_EQ(rec.total_events(), 0u);
+  EXPECT_TRUE(rec.stats_json().find("spans")->as_object().empty());
 }
 
 TEST(SpanTest, ExplicitEndIsIdempotent) {
-  Tracer tracer;
-  tracer.set_enabled(true);
+  Recorder rec(private_opts());
   {
-    Span span("once", "test", tracer);
+    Span span("once", "test", Phase::None, rec);
     span.end();
     span.end();  // second end must not double-record
   }                // destructor must not record either
-  EXPECT_EQ(tracer.events().size(), 1u);
+  EXPECT_EQ(rec.total_events(), 2u);  // one begin, one end
+  json::Value stats = rec.stats_json();
+  EXPECT_EQ(stats.find("spans")->find("test/once")->find("count")->as_int(), 1);
 }
 
+/// Ring payloads and details appear as Chrome args: spans carry their
+/// request, instants their request, a/b payload and detail.
 TEST(ChromeExportTest, AttributeRoundTrip) {
-  Tracer tracer;
-  tracer.set_enabled(true);
+  Recorder rec(private_opts());
+  std::uint32_t id = 0;
   {
-    Span span("phase", "pipeline", tracer);
-    span.attr("rules", std::int64_t{42});
-    span.attr("encoding", "indirect");
-    span.attr("splicing", true);
-    span.attr("ratio", 0.25);
+    RequestScope request("visit ^mpiabi", rec);
+    id = request.id();
+    Span span("phase", "pipeline", Phase::Solve, rec);
+    rec.emit(EventKind::BoundImproved, 7, 2, {}, Phase::Solve);
+    rec.emit(EventKind::SpliceVerdict, 0, 0, "visit<-mpiabi", Phase::Extract);
   }
-  tracer.instant("bound", "solver", {{"cost", std::int64_t{7}}});
 
   // Round-trip through the serialized Chrome trace with the repo parser.
-  json::Value doc = json::parse(tracer.chrome_trace().dump());
+  json::Value doc = json::parse(rec.chrome_trace().dump());
   const json::Value* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
-  ASSERT_EQ(events->as_array().size(), 2u);
+  ASSERT_EQ(events->as_array().size(), 4u);
+  EXPECT_EQ(doc.find("otherData")->find("dropped_events")->as_int(), 0);
 
-  const json::Value& span_ev = events->as_array()[0];
+  const json::Value& bound = events->as_array()[0];
+  EXPECT_EQ(bound.find("name")->as_string(), "asp.bound");
+  EXPECT_EQ(bound.find("ph")->as_string(), "i");
+  EXPECT_EQ(bound.find("s")->as_string(), "t");
+  EXPECT_EQ(bound.find("args")->find("a")->as_int(), 7);
+  EXPECT_EQ(bound.find("args")->find("b")->as_int(), 2);
+  EXPECT_EQ(bound.find("args")->find("req")->as_int(),
+            static_cast<std::int64_t>(id));
+
+  const json::Value& verdict = events->as_array()[1];
+  EXPECT_EQ(verdict.find("name")->as_string(), "splice.verdict");
+  EXPECT_EQ(verdict.find("args")->find("detail")->as_string(),
+            "visit<-mpiabi");
+
+  const json::Value& span_ev = events->as_array()[2];
   EXPECT_EQ(span_ev.find("name")->as_string(), "phase");
   EXPECT_EQ(span_ev.find("cat")->as_string(), "pipeline");
   EXPECT_EQ(span_ev.find("ph")->as_string(), "X");
   EXPECT_GE(span_ev.find("dur")->as_double(), 0.0);
   EXPECT_EQ(span_ev.find("pid")->as_int(), 1);
-  const json::Value* args = span_ev.find("args");
-  ASSERT_NE(args, nullptr);
-  EXPECT_EQ(args->find("rules")->as_int(), 42);
-  EXPECT_EQ(args->find("encoding")->as_string(), "indirect");
-  EXPECT_EQ(args->find("splicing")->as_bool(), true);
-  EXPECT_DOUBLE_EQ(args->find("ratio")->as_double(), 0.25);
+  EXPECT_EQ(span_ev.find("args")->find("req")->as_int(),
+            static_cast<std::int64_t>(id));
 
-  const json::Value& inst_ev = events->as_array()[1];
-  EXPECT_EQ(inst_ev.find("name")->as_string(), "bound");
-  EXPECT_EQ(inst_ev.find("ph")->as_string(), "i");
-  EXPECT_EQ(inst_ev.find("s")->as_string(), "t");
-  EXPECT_EQ(inst_ev.find("args")->find("cost")->as_int(), 7);
+  const json::Value& request_ev = events->as_array()[3];
+  EXPECT_EQ(request_ev.find("name")->as_string(),
+            "request " + std::to_string(id) + ": visit ^mpiabi");
+  EXPECT_EQ(request_ev.find("ph")->as_string(), "X");
+  EXPECT_EQ(request_ev.find("tid")->as_int(), span_ev.find("tid")->as_int());
+  EXPECT_LE(request_ev.find("ts")->as_double(),
+            span_ev.find("ts")->as_double());
+  EXPECT_GE(request_ev.find("ts")->as_double() +
+                request_ev.find("dur")->as_double(),
+            span_ev.find("ts")->as_double() + span_ev.find("dur")->as_double());
 }
 
 TEST(MetricsTest, CountersAndGauges) {
@@ -304,38 +356,36 @@ TEST(ProgressTest, OptimizationEvents) {
 }
 
 TEST(TracerTest, MultithreadedSmoke) {
-  Tracer tracer;
-  tracer.set_enabled(true);
+  Recorder rec(private_opts(4096));
   constexpr int kThreads = 4;
   constexpr int kSpansPerThread = 100;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&tracer, t] {
+    threads.emplace_back([&rec, t] {
       for (int i = 0; i < kSpansPerThread; ++i) {
-        Span span("work", "mt", tracer);
-        span.attr("thread", std::int64_t{t});
-        tracer.instant("tick", "mt");
+        Span span("work", "mt", Phase::None, rec);
+        rec.emit(EventKind::Mark, t);
       }
     });
   }
   for (std::thread& th : threads) th.join();
 
-  std::vector<TraceEvent> events = tracer.events();
-  EXPECT_EQ(events.size(), 2u * kThreads * kSpansPerThread);
-  std::vector<std::uint32_t> tids;
-  for (const TraceEvent& ev : events) {
+  std::vector<Event> events = rec.events();
+  EXPECT_EQ(events.size(), 3u * kThreads * kSpansPerThread);
+  std::vector<std::uint16_t> tids;
+  for (const Event& ev : events) {
     if (std::find(tids.begin(), tids.end(), ev.tid) == tids.end()) {
       tids.push_back(ev.tid);
     }
   }
   EXPECT_LE(tids.size(), static_cast<std::size_t>(kThreads + 1));
 
-  json::Value stats = json::parse(tracer.stats_json().dump());
+  json::Value stats = json::parse(rec.stats_json().dump());
   EXPECT_EQ(stats.find("schema")->as_string(), "splice-stats-v1");
   EXPECT_EQ(stats.find("spans")->find("mt/work")->find("count")->as_int(),
             kThreads * kSpansPerThread);
-  EXPECT_EQ(stats.find("events")->find("mt/tick")->as_int(),
+  EXPECT_EQ(stats.find("events")->find("mark")->as_int(),
             kThreads * kSpansPerThread);
 }
 
@@ -344,9 +394,9 @@ TEST(TracerTest, MultithreadedSmoke) {
 /// are contiguous children that account for the end-to-end "concretize"
 /// span to within 10%.
 TEST(PipelineTraceTest, PhaseDurationsSumToConcretizeSpan) {
-  Tracer& tracer = Tracer::global();
-  tracer.clear();
-  tracer.set_enabled(true);
+  Recorder& rec = Recorder::global();
+  RecorderOptions saved = rec.options();
+  rec.configure(private_opts(16384));
 
   repo::Repository repo = workload::radiuss_repo();
   std::vector<spec::Spec> cache = workload::local_cache_specs(repo);
@@ -357,11 +407,10 @@ TEST(PipelineTraceTest, PhaseDurationsSumToConcretizeSpan) {
   for (const auto& s : cache) c.add_reusable(s);
   concretize::ConcretizeResult result =
       c.concretize(concretize::Request("visit ^mpiabi"));
-  tracer.set_enabled(false);
   EXPECT_TRUE(result.used_splice());
 
   // Verify through the exported JSON, exactly as a trace viewer sees it.
-  json::Value doc = json::parse(tracer.chrome_trace().dump());
+  json::Value doc = json::parse(rec.chrome_trace().dump());
   const json::Value* events = doc.find("traceEvents");
   ASSERT_NE(events, nullptr);
   double total = 0, phase_sum = 0;
@@ -386,7 +435,7 @@ TEST(PipelineTraceTest, PhaseDurationsSumToConcretizeSpan) {
       << "% of the concretize span";
 
   // The stats export aggregates the same spans.
-  json::Value stats = tracer.stats_json();
+  json::Value stats = rec.stats_json();
   EXPECT_EQ(stats.find("schema")->as_string(), "splice-stats-v1");
   const json::Value* spans = stats.find("spans");
   ASSERT_NE(spans, nullptr);
@@ -397,7 +446,7 @@ TEST(PipelineTraceTest, PhaseDurationsSumToConcretizeSpan) {
   }
   // And the SolveStats phases mirror the same breakdown.
   EXPECT_GT(result.stats.total_seconds(), 0.0);
-  tracer.clear();
+  rec.configure(saved);
 }
 
 // Hammer one MetricsRegistry from many threads — counters, gauges,
@@ -437,13 +486,13 @@ TEST(MetricsTest, ConcurrentObserversDoNotCorruptState) {
 }
 
 // Concurrent concretize() calls through one shared Concretizer and the
-// global Tracer/MetricsRegistry with tracing on — the ConcretizerPool
-// configuration.  Every histogram observation must land; span events from
-// different workers must interleave without corruption.
+// global recorder — the ConcretizerPool configuration.  Span events from
+// different workers must interleave without corruption and every span must
+// reach the aggregates.
 TEST(PipelineTraceTest, ConcurrentConcretizeSharedTracer) {
-  Tracer& tracer = Tracer::global();
-  tracer.clear();
-  tracer.set_enabled(true);
+  Recorder& rec = Recorder::global();
+  RecorderOptions saved = rec.options();
+  rec.configure(private_opts(16384));
 
   repo::Repository repo = workload::radiuss_repo();
   concretize::ConcretizerOptions opts;
@@ -470,20 +519,19 @@ TEST(PipelineTraceTest, ConcurrentConcretizeSharedTracer) {
     });
   }
   for (std::thread& th : threads) th.join();
-  tracer.set_enabled(false);
   EXPECT_EQ(failures.load(), 0);
 
   // The exports must still parse and balance after concurrent writes.
-  json::Value doc = json::parse(tracer.chrome_trace().dump());
+  json::Value doc = json::parse(rec.chrome_trace().dump());
   ASSERT_NE(doc.find("traceEvents"), nullptr);
-  json::Value stats = json::parse(tracer.stats_json().dump());
+  json::Value stats = json::parse(rec.stats_json().dump());
   EXPECT_EQ(stats.find("schema")->as_string(), "splice-stats-v1");
   const json::Value* spans = stats.find("spans");
   ASSERT_NE(spans, nullptr);
   const json::Value* conc = spans->find("concretize/concretize");
   ASSERT_NE(conc, nullptr);
   EXPECT_EQ(conc->find("count")->as_int(), kThreads);
-  tracer.clear();
+  rec.configure(saved);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 
 #include "src/asp/asp.hpp"
 #include "src/support/error.hpp"
+#include "src/support/flight.hpp"
 #include "src/support/trace.hpp"
 
 namespace {
@@ -142,19 +143,16 @@ int main(int argc, char** argv) {
     if (!text.empty() && text.back() != '\n') text += '\n';
   }
 
-  splice::trace::Tracer& tracer = splice::trace::Tracer::global();
-  if (report) tracer.set_enabled(true);
-
   splice::asp::Program program;
   try {
-    splice::trace::Span parse_span("parse", "lint");
+    splice::flight::Span parse_span("parse", "lint");
     program = splice::asp::parse_program(text);
   } catch (const splice::ParseError& e) {
     std::cerr << "asp_lint: parse error: " << e.what() << "\n";
     return 2;
   }
 
-  splice::trace::Span analyze_span("analyze", "lint");
+  splice::flight::Span analyze_span("analyze", "lint");
   const splice::asp::AnalysisReport result =
       splice::asp::analyze(program, opts);
   double analyze_seconds = analyze_span.seconds();
@@ -162,7 +160,8 @@ int main(int argc, char** argv) {
 
   for (const auto& d : result.diagnostics) std::cout << d.str() << "\n";
   if (report) {
-    splice::trace::MetricsRegistry& metrics = tracer.metrics();
+    splice::trace::MetricsRegistry& metrics =
+        splice::trace::Tracer::global().metrics();
     record_program_metrics(program, metrics);
     metrics.set_gauge("lint.analyze_seconds", analyze_seconds);
     metrics.add("lint.diagnostics",

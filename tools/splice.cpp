@@ -28,14 +28,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/concretize/pool.hpp"
-#include "src/support/chrome.hpp"
 #include "src/support/error.hpp"
 #include "src/support/flight.hpp"
 #include "src/support/json.hpp"
@@ -82,8 +80,8 @@ void usage(std::FILE* out) {
       "splice-profile-v1\n"
       "                   or splice-explain-v1\n"
       "  --metrics FILE   Prometheus metrics text\n"
-      "  --trace FILE     Chrome trace-event JSON (turns tracing on)\n"
-      "  --stats FILE     splice-stats-v1 JSON (turns tracing on)\n"
+      "  --trace FILE     Chrome trace-event JSON (turns recording on)\n"
+      "  --stats FILE     splice-stats-v1 JSON (turns recording on)\n"
       "  --flight FILE    the whole flight ring (splice-flight-v1)\n"
       "  --slow-ms N      auto-dump requests slower than N ms\n"
       "  --dir DIR        directory for automatic flight dumps\n"
@@ -298,15 +296,17 @@ struct Workload {
 
 Workload::Workload(const Options& o) {
   {
-    trace::Span setup("workload_setup", "tool");
+    flight::Span setup("workload_setup", "tool");
     repo = workload::radiuss_repo(o.replicas);
     if (!o.no_cache) {
       cache = o.public_nodes > 0
                   ? workload::public_cache_specs(repo, o.public_nodes)
                   : workload::local_cache_specs(repo);
     }
-    setup.attr("cache_specs", workload::distinct_nodes(cache));
   }
+  trace::Tracer::global().metrics().set_gauge(
+      "workload.cache_specs",
+      static_cast<double>(workload::distinct_nodes(cache)));
   concretize::ConcretizerOptions opts;
   opts.encoding = o.direct ? concretize::ReuseEncoding::Direct
                            : concretize::ReuseEncoding::Indirect;
@@ -398,7 +398,7 @@ int cmd_explain(const Options& o, const Workload& w) {
   bool need_unsat_probe = !o.splice;
   if (o.splice) {
     flight::RequestScope probe("explain splice: " + roots);
-    flight::PhaseScope phase(flight::Phase::Explain);
+    flight::Span phase("explain_splice", "tool", flight::Phase::Explain);
     concretize::SpliceDiagnosis diag =
         w.concretizer->explain_splice(o.requests);
     if (diag.sat) {
@@ -410,7 +410,7 @@ int cmd_explain(const Options& o, const Workload& w) {
   }
   if (need_unsat_probe) {
     flight::RequestScope probe("explain unsat: " + roots);
-    flight::PhaseScope phase(flight::Phase::Explain);
+    flight::Span phase("explain_unsat", "tool", flight::Phase::Explain);
     asp::ExplainOptions eopts;
     eopts.minimize = o.minimize;
     concretize::UnsatDiagnosis diag =
@@ -423,8 +423,6 @@ int cmd_explain(const Options& o, const Workload& w) {
 
 int run(Command command, int argc, char** argv) {
   Options o = parse_run_flags(command, argc, argv);
-  trace::Tracer& tracer = trace::Tracer::global();
-  if (!o.trace.empty() || !o.stats.empty()) tracer.set_enabled(true);
   // Start from the recorder's current options so the SPLICE_FLIGHT_* hooks
   // survive; the flags override only their own fields.
   flight::Recorder& recorder = flight::Recorder::global();
@@ -434,6 +432,8 @@ int run(Command command, int argc, char** argv) {
     if (!o.dir.empty()) ropts.dump_dir = o.dir;
     recorder.configure(ropts);
   }
+  // A trace or stats export asks for recording, even under SPLICE_FLIGHT=off.
+  if (!o.trace.empty() || !o.stats.empty()) recorder.set_enabled(true);
 
   int rc = 0;
   try {
@@ -448,13 +448,17 @@ int run(Command command, int argc, char** argv) {
     rc = 1;
   }
   bool ok = true;
-  if (!o.trace.empty()) ok = write_json(o.trace, tracer.chrome_trace()) && ok;
-  if (!o.stats.empty()) ok = write_json(o.stats, tracer.stats_json()) && ok;
+  if (!o.trace.empty()) {
+    ok = write_json(o.trace, recorder.chrome_trace()) && ok;
+  }
+  if (!o.stats.empty()) ok = write_json(o.stats, recorder.stats_json()) && ok;
   if (!o.flight.empty()) {
     ok = write_json(o.flight, recorder.dump_json("manual")) && ok;
   }
   if (!o.metrics.empty()) {
-    ok = write_text(o.metrics, tracer.metrics().metrics_text()) && ok;
+    ok = write_text(o.metrics,
+                    trace::Tracer::global().metrics().metrics_text()) &&
+         ok;
   }
   return ok ? rc : 1;
 }
@@ -611,54 +615,9 @@ int flight_show(const std::string& file, long long only_request,
   return 0;
 }
 
-/// Phase begin/end pairs become "X" complete events (per-thread stacks);
-/// everything else becomes a thread-scoped "i" instant.
 int flight_chrome(const std::string& file, const std::string& out_path) {
   auto doc = load_recording(file);
-  if (!doc) return 1;
-  json::Array out;
-  if (const json::Array* requests = array(*doc, "requests")) {
-    for (const Value& r : *requests) {
-      double begin = num(r, "begin_us");
-      double end = num(r, "end_us");
-      out.push_back(chrome::complete_event(
-          "request " + std::to_string(integer(r, "id")) + ": " +
-              str(r, "request"),
-          "flight", begin, end > begin ? end - begin : 0.0,
-          integer(r, "id")));
-    }
-  }
-  struct Open {
-    std::string phase;
-    double t_us;
-  };
-  std::map<std::int64_t, std::vector<Open>> stacks;
-  const json::Array* events = array(*doc, "events");
-  for (const Value& ev : events != nullptr ? *events : json::Array{}) {
-    std::string kind = str(ev, "kind");
-    std::int64_t tid = integer(ev, "tid");
-    double t = num(ev, "t_us");
-    if (kind == "phase.begin") {
-      stacks[tid].push_back({str(ev, "phase"), t});
-    } else if (kind == "phase.end") {
-      auto& stack = stacks[tid];
-      if (stack.empty()) continue;  // begin fell off the ring
-      Open o = stack.back();
-      stack.pop_back();
-      out.push_back(
-          chrome::complete_event(o.phase, "flight", o.t_us, t - o.t_us, tid));
-    } else {
-      json::Object args;
-      args["req"] = static_cast<std::int64_t>(integer(ev, "req"));
-      args["a"] = static_cast<std::int64_t>(integer(ev, "a"));
-      args["b"] = static_cast<std::int64_t>(integer(ev, "b"));
-      std::string detail = str(ev, "detail");
-      if (!detail.empty()) args["detail"] = detail;
-      out.push_back(
-          chrome::instant_event(kind, "flight", t, tid, std::move(args)));
-    }
-  }
-  return write_json(out_path, chrome::document(std::move(out))) ? 0 : 1;
+  return doc && write_json(out_path, flight::chrome_trace(*doc)) ? 0 : 1;
 }
 
 int cmd_flight(int argc, char** argv) {

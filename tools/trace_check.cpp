@@ -1,16 +1,19 @@
 // trace_check: structural validator for the formats this repo emits —
-// Chrome trace-event files (splice_trace / SPLICE_TRACE), stats files
-// (schema "splice-stats-v1"), bench result files (schema "splice-bench-v1"),
-// explanation documents (schema "splice-explain-v1", from splice_explain),
-// solver cost profiles (schema "splice-profile-v1", from splice_profile),
-// repository audit reports (schema "repo-audit-v1", from repo_audit),
-// incremental audit caches (schema "repo-audit-cache-v1", from
-// repo_audit --incremental),
-// flight recordings (schema "splice-flight-v1", from the flight recorder /
-// splice_flight), and Prometheus text exposition (*.prom, or any input not
-// starting with '{'; from MetricsRegistry::metrics_text).  CI runs it over
-// the artifacts a workload resolution produces; exit 0 means every file
-// validated.
+// Chrome trace-event files (splice <command> --trace, SPLICE_TRACE,
+// splice flight chrome), stats files (schema "splice-stats-v1", from
+// --stats / SPLICE_TRACE_STATS), bench result files (schema
+// "splice-bench-v1"), batch reports (schema "splice-batch-v1", from
+// splice concretize --json), explanation documents (schema
+// "splice-explain-v1", from splice explain --json), solver cost profiles
+// (schema "splice-profile-v1", from splice profile --json), repository
+// audit reports (schema "repo-audit-v1", from repo_audit), incremental
+// audit caches (schema "repo-audit-cache-v1", from repo_audit
+// --incremental), flight recordings (schema "splice-flight-v1", from the
+// flight recorder: --flight, --slow-ms/--dir, SPLICE_FLIGHT_*), and
+// Prometheus text exposition (*.prom, or any input not starting with '{';
+// from MetricsRegistry::metrics_text, e.g. --metrics).  The cli_smoke test
+// and CI run it over the artifacts a workload resolution produces; exit 0
+// means every file validated.
 //
 // usage: trace_check FILE...
 #include <cstdio>
@@ -84,6 +87,16 @@ void check_chrome_trace(const std::string& file, const Value& doc) {
       }
     } else {
       fail(file, ctx + ": unexpected phase \"" + phase + "\"");
+    }
+  }
+  // The flight exporter reports the events that fell off its ring.
+  if (const Value* other = doc.find("otherData")) {
+    if (!other->is_object()) {
+      fail(file, "\"otherData\" is not an object");
+    } else if (const Value* dropped = other->find("dropped_events")) {
+      if (!dropped->is_int() || dropped->as_int() < 0) {
+        fail(file, "otherData: \"dropped_events\" is not a count");
+      }
     }
   }
   if (errors == before) {
