@@ -2,9 +2,9 @@
 
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "src/support/error.hpp"
@@ -23,32 +23,115 @@ namespace {
 
 using detail::TermData;
 
-struct Key {
-  TermKind kind;
-  std::int64_t int_value;
-  std::uint32_t name_id;
-  std::span<const Term> args;
+/// murmur3's 64-bit finalizer: spreads every input bit into the low bits
+/// that index a power-of-two table.
+std::size_t mix64(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  return static_cast<std::size_t>(h);
+}
 
-  bool operator==(const Key& o) const {
-    if (kind != o.kind || int_value != o.int_value || name_id != o.name_id ||
-        args.size() != o.args.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      if (args[i] != o.args[i]) return false;
-    }
-    return true;
-  }
-};
+/// Structural hash of a term's identity (kind, value, spelling, argument
+/// ids).  Computed from a probe key and, on growth, from a stored
+/// `TermData`; both must agree.
+std::size_t term_hash(TermKind kind, std::int64_t iv, std::uint32_t name_id,
+                      std::span<const Term> args) {
+  std::uint64_t h = static_cast<std::uint64_t>(kind) * 0x9e3779b97f4a7c15ULL;
+  h ^= static_cast<std::uint64_t>(iv) + (h << 6);
+  h ^= name_id * 0x9e3779b97f4a7c15ULL + (h << 6);
+  for (Term t : args) h = h * 1099511628211ULL + t.id();
+  return mix64(h);
+}
 
-struct KeyHash {
-  std::size_t operator()(const Key& k) const noexcept {
-    std::size_t h = static_cast<std::size_t>(k.kind) * 0x9e3779b97f4a7c15ULL;
-    h ^= std::hash<std::int64_t>{}(k.int_value) + (h << 6);
-    h ^= k.name_id * 0x9e3779b97f4a7c15ULL + (h << 6);
-    for (Term t : k.args) h = h * 1099511628211ULL + t.id();
-    return h;
+bool same_term(const TermData& d, TermKind kind, std::int64_t iv,
+               std::uint32_t name_id, std::span<const Term> args) {
+  if (d.kind != kind || d.int_value != iv || d.name_id != name_id ||
+      d.nargs != args.size()) {
+    return false;
   }
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    if (d.args[i] != args[i]) return false;
+  }
+  return true;
+}
+
+/// Open-addressing hash index of 32-bit ids whose keys live elsewhere (the
+/// owner's append-only store), with a lock-free probe side.  `find` needs
+/// no lock: it acquire-loads the published slot array, then each slot, and
+/// compares keys through the caller's predicate.  `insert` runs under the
+/// owner's lock: a new id is release-stored into an empty slot, after the
+/// element it names is fully written.  Growth rehashes into a fresh array
+/// and publishes it with a release store; superseded arrays are retired
+/// (kept alive, never freed), so a reader still probing one sees only ids
+/// published before the growth and, on a miss, retries under the lock.
+class IdIndex {
+ public:
+  static constexpr std::uint32_t kEmpty = 0xffffffffu;
+
+  IdIndex() { publish(empty_slots(std::size_t{1} << 10)); }
+
+  /// The id whose key satisfies `eq`, or kEmpty if none is visible in the
+  /// array this probe loaded.  `eq(id)` may read the id's element without
+  /// the lock: the slot's acquire load orders it after the element write.
+  template <typename Eq>
+  std::uint32_t find(std::size_t hash, Eq&& eq) const {
+    const Slots* s = slots_.load(std::memory_order_acquire);
+    for (std::size_t i = hash & s->mask;; i = (i + 1) & s->mask) {
+      std::uint32_t id = s->ids[i].load(std::memory_order_acquire);
+      if (id == kEmpty || eq(id)) return id;
+    }
+  }
+
+  /// Add `id` (absent; its element already written) under the owner's
+  /// lock.  `hash_of(id)` rehashes existing ids when the array grows.
+  template <typename HashOf>
+  void insert(std::size_t hash, std::uint32_t id, HashOf&& hash_of) {
+    const Slots& cur = *arrays_.back();
+    if (2 * (size_ + 1) > cur.mask + 1) {
+      auto grown = empty_slots(2 * (cur.mask + 1));
+      for (std::size_t i = 0; i <= cur.mask; ++i) {
+        std::uint32_t old = cur.ids[i].load(std::memory_order_relaxed);
+        if (old != kEmpty) place(*grown, hash_of(old), old);
+      }
+      publish(std::move(grown));
+    }
+    place(*arrays_.back(), hash, id);
+    ++size_;
+  }
+
+ private:
+  struct Slots {
+    std::size_t mask;
+    std::unique_ptr<std::atomic<std::uint32_t>[]> ids;
+  };
+
+  static std::unique_ptr<Slots> empty_slots(std::size_t capacity) {
+    auto s = std::make_unique<Slots>();
+    s->mask = capacity - 1;
+    s->ids = std::make_unique<std::atomic<std::uint32_t>[]>(capacity);
+    for (std::size_t i = 0; i < capacity; ++i) {
+      s->ids[i].store(kEmpty, std::memory_order_relaxed);
+    }
+    return s;
+  }
+
+  static void place(Slots& s, std::size_t hash, std::uint32_t id) {
+    std::size_t i = hash & s.mask;
+    while (s.ids[i].load(std::memory_order_relaxed) != kEmpty) {
+      i = (i + 1) & s.mask;
+    }
+    s.ids[i].store(id, std::memory_order_release);
+  }
+
+  void publish(std::unique_ptr<Slots> s) {
+    slots_.store(s.get(), std::memory_order_release);
+    arrays_.push_back(std::move(s));  // earlier entries are retired arrays
+  }
+
+  std::atomic<const Slots*> slots_{nullptr};
+  std::vector<std::unique_ptr<Slots>> arrays_;  // back() is current
+  std::size_t size_ = 0;
 };
 
 /// Append-only arena for argument spans: fixed-size chunks, so handed-out
@@ -114,14 +197,24 @@ class PagedStore {
   std::atomic<const T* const*> dir_{nullptr};
 };
 
-// Global interning table.  Append-only; TermData entries live in fixed-size
-// pages whose addresses are stable across growth (the page directory backing
-// `detail::g_term_pages` is republished under the lock whenever a page is
-// added), and argument spans live in the chunked arena.  Entries never
-// mutate after insertion, so accessors read without the lock: the engine is
-// single-threaded per solve, but the parallel repository auditor compiles
-// one program per package across worker threads, so interning and reading
-// race by design and every read path must be data-race-free (TSan-clean).
+// Global interning table, shared by every thread (`ConcretizerPool` workers
+// solve concurrently; the repository auditor compiles on worker threads).
+// The contract:
+//   * Reads are lock-free.  TermData entries live in address-stable pages
+//     (`detail::g_term_pages` is republished whenever a page is added),
+//     argument spans in the chunked arena, and entries never mutate after
+//     insertion.
+//   * Lookups are lock-free on a hit.  `intern` probes the name index and
+//     the term index without the lock, comparing keys against stored
+//     entries.
+//   * Inserts are serialized.  A miss takes the lock, re-probes, appends
+//     the entry and only then release-stores its id into the index, so ids
+//     are assigned in the same order as a fully locked table would assign
+//     them.
+//   * Growth never strands a reader.  A probe that loaded a superseded
+//     index array (retired, not freed) can only miss, and a miss always
+//     falls back to the locked path.
+// `slow_path_count()` counts the interns that took the lock.
 class Table {
  public:
   static Table& instance() {
@@ -131,7 +224,13 @@ class Table {
 
   std::uint32_t intern(TermKind kind, std::int64_t iv, std::string_view name,
                        std::span<const Term> args) {
+    std::uint32_t name_id = find_name(name);
+    if (name_id != IdIndex::kEmpty) {
+      std::uint32_t id = find_term(kind, iv, name_id, args);
+      if (id != IdIndex::kEmpty) return id;
+    }
     std::lock_guard<std::mutex> lock(mu_);
+    slow_paths_.fetch_add(1, std::memory_order_relaxed);
     return intern_locked(kind, iv, intern_name(name), args);
   }
 
@@ -139,7 +238,10 @@ class Table {
   /// existing term of the same arity — no string hashing.
   std::uint32_t intern_fun_like(std::uint32_t name_id,
                                 std::span<const Term> args) {
+    std::uint32_t id = find_term(TermKind::Fun, 0, name_id, args);
+    if (id != IdIndex::kEmpty) return id;
     std::lock_guard<std::mutex> lock(mu_);
+    slow_paths_.fetch_add(1, std::memory_order_relaxed);
     return intern_locked(TermKind::Fun, 0, name_id, args);
   }
 
@@ -159,13 +261,35 @@ class Table {
 
   std::size_t size() const { return count_.load(std::memory_order_acquire); }
 
+  std::uint64_t slow_path_count() const {
+    return slow_paths_.load(std::memory_order_relaxed);
+  }
+
  private:
+  static std::size_t name_hash(std::string_view name) {
+    return std::hash<std::string_view>{}(name);
+  }
+
+  std::uint32_t find_name(std::string_view name) const {
+    return name_index_.find(name_hash(name), [&](std::uint32_t id) {
+      return names_.at(id) == name;
+    });
+  }
+
+  std::uint32_t find_term(TermKind kind, std::int64_t iv,
+                          std::uint32_t name_id,
+                          std::span<const Term> args) const {
+    return term_index_.find(
+        term_hash(kind, iv, name_id, args), [&](std::uint32_t id) {
+          return same_term(terms_.at(id), kind, iv, name_id, args);
+        });
+  }
+
   std::uint32_t intern_locked(TermKind kind, std::int64_t iv,
                               std::uint32_t name_id,
                               std::span<const Term> args) {
-    Key key{kind, iv, name_id, args};
-    auto it = index_.find(key);
-    if (it != index_.end()) return it->second;
+    std::uint32_t found = find_term(kind, iv, name_id, args);
+    if (found != IdIndex::kEmpty) return found;
     TermData data;
     data.kind = kind;
     data.int_value = iv;
@@ -182,47 +306,64 @@ class Table {
     detail::g_term_pages.store(
         terms_.dir().load(std::memory_order_relaxed), std::memory_order_release);
     count_.store(id + 1, std::memory_order_release);
-    index_.emplace(Key{kind, iv, name_id, stored_args}, id);
+    term_index_.insert(term_hash(kind, iv, name_id, args), id,
+                       [this](std::uint32_t old) {
+                         const TermData& d = terms_.at(old);
+                         return term_hash(d.kind, d.int_value, d.name_id,
+                                          {d.args, d.nargs});
+                       });
     return id;
   }
 
   std::uint32_t intern_name(std::string_view name) {
-    auto it = name_ids_.find(name);
-    if (it != name_ids_.end()) return it->second;
+    std::uint32_t found = find_name(name);
+    if (found != IdIndex::kEmpty) return found;
     name_storage_.emplace_back(name);
     auto id = static_cast<std::uint32_t>(name_count_);
     names_.append(id) = name_storage_.back();
     ++name_count_;
-    name_ids_.emplace(name_storage_.back(), id);
+    name_index_.insert(name_hash(name), id, [this](std::uint32_t old) {
+      return name_hash(names_.at(old));
+    });
     return id;
   }
 
+  using SigKey = std::pair<std::uint32_t, std::uint32_t>;  // (name, arity)
+
+  static std::size_t sig_hash(SigKey key) {
+    return mix64((static_cast<std::uint64_t>(key.first) << 32) | key.second);
+  }
+
   SigId intern_sig_locked(std::uint32_t name_id, std::size_t arity) {
-    std::uint64_t key =
-        (static_cast<std::uint64_t>(name_id) << 32) | static_cast<std::uint32_t>(arity);
-    auto it = sig_ids_.find(key);
-    if (it != sig_ids_.end()) return it->second;
+    SigKey key{name_id, static_cast<std::uint32_t>(arity)};
+    SigId found = sig_index_.find(sig_hash(key), [&](std::uint32_t id) {
+      return sigs_.at(id) == key;
+    });
+    if (found != IdIndex::kEmpty) return found;
     auto id = static_cast<SigId>(sig_count_);
-    sigs_.append(id) = {name_id, static_cast<std::uint32_t>(arity)};
+    sigs_.append(id) = key;
     ++sig_count_;
-    sig_ids_.emplace(key, id);
+    sig_index_.insert(sig_hash(key), id, [this](std::uint32_t old) {
+      return sig_hash(sigs_.at(old));
+    });
     return id;
   }
 
   std::mutex mu_;
+  std::atomic<std::uint64_t> slow_paths_{0};
   ArgArena args_;
   PagedStore<TermData, detail::kTermPageShift> terms_;
   std::atomic<std::size_t> count_{0};
-  std::unordered_map<Key, std::uint32_t, KeyHash> index_;
+  IdIndex term_index_;
 
   std::deque<std::string> name_storage_;          // stable string bodies
   PagedStore<std::string_view, 10> names_;        // name_id -> spelling
   std::size_t name_count_ = 0;
-  std::unordered_map<std::string_view, std::uint32_t> name_ids_;
+  IdIndex name_index_;
 
-  PagedStore<std::pair<std::uint32_t, std::uint32_t>, 10> sigs_;  // (name, arity)
+  PagedStore<SigKey, 10> sigs_;
   std::size_t sig_count_ = 0;
-  std::unordered_map<std::uint64_t, SigId> sig_ids_;
+  IdIndex sig_index_;
 };
 
 }  // namespace
@@ -270,6 +411,10 @@ SigId Term::intern_sig(std::string_view name, std::size_t arity) {
 std::string Term::sig_str(SigId sig) { return Table::instance().sig_str(sig); }
 
 std::size_t Term::interned_count() { return Table::instance().size(); }
+
+std::uint64_t Term::intern_slow_path_count() {
+  return Table::instance().slow_path_count();
+}
 
 std::string Term::str_repr() const {
   const TermData& d = data_();

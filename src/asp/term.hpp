@@ -12,7 +12,9 @@
 // address-stable arenas (spans stay valid forever), and every term carries a
 // precomputed interned *signature id* (`name/arity`) so the grounder's
 // per-predicate bookkeeping never touches strings.  The arena is append-only
-// and guarded by a mutex; handles are stable for the lifetime of the process.
+// and shared by all threads: reads and interning hits are lock-free, inserts
+// are serialized under one mutex (term.cpp, `Table`), and handles are stable
+// for the lifetime of the process.
 #pragma once
 
 #include <atomic>
@@ -127,6 +129,11 @@ class Term {
   /// Number of terms interned so far (ids are dense in [0, count)); used by
   /// the grounder to size id-indexed flag arrays.
   static std::size_t interned_count();
+
+  /// Number of interning calls that took the table lock: true misses, plus
+  /// probes that lost a race with a concurrent insert or index growth.
+  /// Lock-free hits are not counted.  Monotonic over the process lifetime.
+  static std::uint64_t intern_slow_path_count();
 
   friend bool operator==(Term a, Term b) { return a.id_ == b.id_; }
   friend bool operator!=(Term a, Term b) { return a.id_ != b.id_; }

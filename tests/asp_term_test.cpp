@@ -1,6 +1,12 @@
 // Unit tests for ASP term interning, matching, and substitution.
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <string>
+#include <thread>
+#include <unordered_set>
+#include <vector>
+
 #include "src/asp/term.hpp"
 
 namespace splice::asp {
@@ -145,6 +151,63 @@ TEST(Term, CollectVarsFirstOccurrenceOrder) {
   ASSERT_EQ(vars.size(), 2u);
   EXPECT_EQ(vars[0], Term::var("B"));
   EXPECT_EQ(vars[1], Term::var("A"));
+}
+
+// Eight threads intern the same terms in different orders, so lock-free
+// probes race inserts and several index growths.  Every thread must see
+// one id per distinct term, and the table must hold each term once.
+TEST(Term, ConcurrentInterningIsConsistent) {
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kValues = std::size_t{1} << 14;
+  constexpr std::size_t kPerValue = 5;  // str, integer, fun, fun_like, nest
+  const std::size_t before = Term::interned_count();
+  const std::uint64_t slow_before = Term::intern_slow_path_count();
+
+  auto intern_value = [](std::size_t i, std::uint32_t* out) {
+    Term s = Term::str("stress-" + std::to_string(i));
+    Term n = Term::integer(7'000'000'000 + static_cast<std::int64_t>(i));
+    Term f = Term::fun("stress_node", {s, n});
+    Term g = Term::fun_like(f, std::vector<Term>{n, s});
+    Term pair = Term::fun("stress_pair", {f, g});
+    for (Term t : {s, n, f, g, pair}) *out++ = t.id();
+  };
+
+  std::vector<std::vector<std::uint32_t>> ids(
+      kThreads, std::vector<std::uint32_t>(kValues * kPerValue));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (std::size_t k = 0; k < kValues; ++k) {
+        std::size_t i = (k + t * kValues / kThreads) % kValues;
+        intern_value(i, &ids[t][i * kPerValue]);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (std::size_t t = 1; t < kThreads; ++t) {
+    ASSERT_EQ(ids[t], ids[0]) << "thread " << t << " saw different ids";
+  }
+  std::unordered_set<std::uint32_t> distinct(ids[0].begin(), ids[0].end());
+  EXPECT_EQ(distinct.size(), kValues * kPerValue);
+  EXPECT_EQ(Term::interned_count() - before, kValues * kPerValue);
+
+  // Each distinct term took the lock at least once; hits never do.
+  const std::uint64_t slow_after = Term::intern_slow_path_count();
+  EXPECT_GE(slow_after - slow_before, kValues * kPerValue);
+  std::vector<std::uint32_t> again(kValues * kPerValue);
+  for (std::size_t i = 0; i < kValues; ++i) {
+    intern_value(i, &again[i * kPerValue]);
+  }
+  EXPECT_EQ(again, ids[0]);
+  EXPECT_EQ(Term::intern_slow_path_count(), slow_after);
+
+  Term f = Term::fun("stress_node", {Term::str("stress-42"),
+                                     Term::integer(7'000'000'042)});
+  EXPECT_EQ(f.id(), ids[0][42 * kPerValue + 2]);
+  EXPECT_EQ(f.str_repr(), "stress_node(\"stress-42\",7000000042)");
 }
 
 }  // namespace

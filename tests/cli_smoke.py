@@ -171,6 +171,30 @@ for a, b in zip(pruned["results"], unpruned["results"]):
         f"pruned and unpruned disagree on {a['request']}: {a} vs {b}"
 print("pruned == unpruned on ok/builds for 32 requests")
 
+# Answers do not depend on the worker count: the 32 roots repeated x4 give
+# identical rows at --jobs 1 and --jobs 4.  The jobs-4 metrics carry the
+# term table's lock counter.
+with open(out("roots-x4.txt"), "w") as f:
+    f.write("\n".join(r["request"] for r in pruned["results"] * 4) + "\n")
+fields = ("request", "ok", "nodes", "builds", "reused", "splices")
+rows_at = {}
+for jobs in ("1", "4"):
+    splice("concretize", "--splice", "--jobs", jobs, "--file",
+           out("roots-x4.txt"), "--json", out(f"det-jobs{jobs}.json"),
+           "--metrics", out(f"det-jobs{jobs}.prom"))
+    trace_check(out(f"det-jobs{jobs}.json"), out(f"det-jobs{jobs}.prom"))
+    rows_at[jobs] = [{k: r.get(k) for k in fields}
+                     for r in load(out(f"det-jobs{jobs}.json"))["results"]]
+assert len(rows_at["1"]) == 128, f"{len(rows_at['1'])} rows, expected 128"
+for a, b in zip(rows_at["1"], rows_at["4"]):
+    assert a == b, f"--jobs 1 and --jobs 4 disagree: {a} vs {b}"
+with open(out("det-jobs4.prom")) as f:
+    locked = [line for line in f
+              if line.startswith("splice_asp_intern_slow_path ")]
+assert locked and int(locked[0].split()[1]) > 0, \
+    "metrics lack a positive splice_asp_intern_slow_path counter"
+print("128 requests identical at --jobs 1 and --jobs 4")
+
 # Malformed flags exit 2 with a message naming the flag.
 for args, flag in [(["concretize", "--jobs", "abc"], "--jobs"),
                    (["concretize", "--jobs", "-1"], "--jobs"),

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "src/asp/term.hpp"
 #include "src/concretize/pool.hpp"
 #include "src/support/error.hpp"
 #include "src/support/flight.hpp"
@@ -447,6 +448,11 @@ int run(Command command, int argc, char** argv) {
     std::fprintf(stderr, "splice: %s\n", e.what());
     rc = 1;
   }
+  // The term table is process-wide, so its lock count is recorded once, at
+  // exit: interns that missed the lock-free probe and took the table lock.
+  trace::Tracer::global().metrics().add(
+      "asp.intern_slow_path",
+      static_cast<std::int64_t>(asp::Term::intern_slow_path_count()));
   bool ok = true;
   if (!o.trace.empty()) {
     ok = write_json(o.trace, recorder.chrome_trace()) && ok;
