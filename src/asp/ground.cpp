@@ -55,18 +55,19 @@ class TermFlags {
 /// maintained argument indexes.  Everything keys on interned SigIds; an
 /// index is built once on first use and then only appended to, so candidate
 /// lists handed to the join loop are never invalidated (callers iterate a
-/// frozen prefix by index instead of copying).
+/// frozen prefix by index instead of copying).  Every atom carries its
+/// insertion sequence number, so each list is sorted by sequence and the
+/// atoms of any store-size window are one contiguous slice of it.
 class AtomStore {
  public:
   explicit AtomStore(bool use_indexes) : use_indexes_(use_indexes) {}
 
-  /// Register a ground atom, stamping it with the fixpoint round that first
-  /// derived it; returns true if new.
-  bool add(Term atom, std::uint32_t round) {
+  /// Register a ground atom, stamping it with its insertion sequence number
+  /// (the store size before the insert); returns true if new.
+  bool add(Term atom) {
     if (!present_.set(atom)) return false;
-    ++size_;
-    if (atom.id() >= stamp_.size()) stamp_.resize(atom.id() + 1, 0);
-    stamp_[atom.id()] = round;
+    if (atom.id() >= seq_.size()) seq_.resize(atom.id() + 1, 0);
+    seq_[atom.id()] = static_cast<std::uint32_t>(size_++);
     Pred& pred = pred_for(atom);
     pred.atoms.push_back(atom);
     for (std::size_t pos = 0; pos < pred.by_pos.size(); ++pos) {
@@ -78,9 +79,19 @@ class AtomStore {
 
   bool contains(Term atom) const { return present_.test(atom); }
 
-  /// Derivation round of a stored atom (only meaningful when contains()).
-  std::uint32_t stamp(Term atom) const { return stamp_[atom.id()]; }
+  /// Insertion sequence number of a stored atom (only meaningful when
+  /// contains()).
+  std::uint32_t seq(Term atom) const { return seq_[atom.id()]; }
   std::size_t size() const { return size_; }
+
+  /// Index bounds [first, last) of the atoms of `list` -- an all() or
+  /// lookup() result, hence in sequence order -- whose sequence numbers lie
+  /// in [lo, hi).  `hi` at or past the current size keeps the whole list.
+  std::pair<std::size_t, std::size_t> slice(const std::vector<Term>& list,
+                                            std::uint32_t lo,
+                                            std::uint32_t hi) const {
+    return {below(list, lo), below(list, hi)};
+  }
 
   /// Number of stored atoms with the given signature.
   std::size_t count(SigId sig) const {
@@ -130,6 +141,17 @@ class AtomStore {
     std::vector<ArgIndex> by_pos;  // sized to the predicate arity
   };
 
+  /// Number of leading atoms of `list` with sequence numbers below `bound`.
+  /// The two ends are checked first: most lists lie wholly inside a window.
+  std::size_t below(const std::vector<Term>& list, std::uint32_t bound) const {
+    if (list.empty() || seq(list.back()) < bound) return list.size();
+    if (seq(list.front()) >= bound) return 0;
+    return static_cast<std::size_t>(
+        std::partition_point(list.begin(), list.end(),
+                             [&](Term t) { return seq(t) < bound; }) -
+        list.begin());
+  }
+
   Pred& pred_for(Term atom) {
     auto [it, inserted] = preds_.try_emplace(atom.sig());
     if (inserted) {
@@ -144,7 +166,7 @@ class AtomStore {
 
   bool use_indexes_;
   TermFlags present_;
-  std::vector<std::uint32_t> stamp_;  // term id -> first-derivation round
+  std::vector<std::uint32_t> seq_;  // term id -> insertion sequence number
   std::size_t size_ = 0;
   // node-based: Pred references stay valid while the map grows.
   std::unordered_map<SigId, Pred> preds_;
@@ -169,17 +191,11 @@ std::uint64_t instance_key(const Term& head, const std::vector<Literal>& body) {
   return h.lo() ^ h.hi();
 }
 
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// Open-addressing set of 64-bit keys (linear probing, power-of-two table).
-/// The grounder inserts one key per completed join — millions per resolve —
-/// and std::unordered_set's per-node allocation plus rehash chains show up
-/// as whole percents of ground time.  Key 0 is reserved as the empty slot
+/// The grounder inserts one content key per ground instance that passes its
+/// comparisons — hundreds of thousands per resolve — and
+/// std::unordered_set's per-node allocation plus rehash chains show up as
+/// whole percents of ground time.  Key 0 is reserved as the empty slot
 /// marker (remapped; hashed keys are never biased toward 0).
 class U64Set {
  public:
@@ -214,21 +230,6 @@ class U64Set {
   std::vector<std::uint64_t> slots_;
   std::size_t count_ = 0;
 };
-
-/// Pre-substitution duplicate filter key: a completed join with the same
-/// (rule, element, variable bindings) always instantiates to the same ground
-/// rule, and semi-naive re-derives each instance once per pivot position and
-/// round.  Combining per-binding hashes commutatively makes the key
-/// independent of binding insertion order, which varies with the pivot.
-std::uint64_t binding_key(std::size_t rule_index, int elem, const Bindings& b) {
-  std::uint64_t h = splitmix64(
-      0x42696e642eULL ^ (static_cast<std::uint64_t>(rule_index) << 8) ^
-      static_cast<std::uint64_t>(elem + 1));
-  for (const auto& [var, value] : b.entries()) {
-    h += splitmix64((static_cast<std::uint64_t>(var.id()) << 32) | value.id());
-  }
-  return h;
-}
 
 /// A fully instantiated (ground) normal rule or constraint awaiting
 /// negation resolution.
@@ -333,18 +334,42 @@ class Grounder {
     std::vector<const Literal*> pos;
     std::vector<const Literal*> neg;
     std::vector<SigId> pos_sigs;  // aligned with pos
+    // Join position of each positive literal of the rule body (and, for an
+    // element pseudo-rule, of its element condition), in literal order, so
+    // ground bodies are read off the matched atoms (kNoSlot: negative).
+    std::vector<std::uint32_t> body_slot;
+    std::vector<std::uint32_t> cond_slot;
+    // Store size when round one instantiated the rule: round one completed
+    // every join over atoms below it, so later rounds only complete joins
+    // holding an atom at or above it.
+    std::uint32_t first_seen = 0;
   };
 
-  /// Ground facts (empty body, ground atom head) seed the store, the delta
-  /// and the certain set directly; everything else goes through the joiner.
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+  /// Join position (index into `pos`) of each positive literal of `lits`.
+  static std::vector<std::uint32_t> slots_of(
+      const std::vector<Literal>& lits,
+      const std::vector<const Literal*>& pos) {
+    std::vector<std::uint32_t> slots;
+    slots.reserve(lits.size());
+    for (const Literal& l : lits) {
+      auto it = std::find(pos.begin(), pos.end(), &l);
+      slots.push_back(l.positive ? static_cast<std::uint32_t>(it - pos.begin())
+                                 : kNoSlot);
+    }
+    return slots;
+  }
+
+  /// Ground facts (empty body, ground atom head) seed the store and the
+  /// certain set directly; everything else goes through the joiner.
   void seed_facts() {
     for (std::size_t ri = 0; ri < program_.rules().size(); ++ri) {
       const Rule& r = program_.rules()[ri];
       if (!r.body.empty()) continue;
       if (r.head.kind == Head::Kind::Atom && r.head.atom.is_ground() &&
           r.comparisons.empty()) {
-        if (store_.add(r.head.atom, 0)) {
-          seeds_.push_back(r.head.atom);
+        if (store_.add(r.head.atom)) {
           record_atom_origin(r.head.atom, static_cast<std::uint32_t>(ri),
                              nullptr);
         }
@@ -380,6 +405,8 @@ class Grounder {
       }
       if (opts_.order_joins) order_join(pr.pos, estimate);
       for (const Literal* l : pr.pos) pr.pos_sigs.push_back(l->atom.sig());
+      pr.body_slot = slots_of(r.body, pr.pos);
+      matched_.resize(std::max(matched_.size(), pr.pos.size()));
       prepared_.push_back(std::move(pr));
       if (r.head.kind != Head::Kind::Choice) continue;
       for (std::size_t ei = 0; ei < r.head.elements.size(); ++ei) {
@@ -395,6 +422,9 @@ class Grounder {
         }
         if (opts_.order_joins) order_join(pe.pos, estimate);
         for (const Literal* l : pe.pos) pe.pos_sigs.push_back(l->atom.sig());
+        pe.body_slot = slots_of(r.body, pe.pos);
+        pe.cond_slot = slots_of(r.head.elements[ei].condition, pe.pos);
+        matched_.resize(std::max(matched_.size(), pe.pos.size()));
         prepared_.push_back(std::move(pe));
       }
     }
@@ -468,109 +498,119 @@ class Grounder {
             .count();
   }
 
+  static constexpr std::uint32_t kNoCap = 0xffffffffu;
+
+  /// Sequence bounds of one join.  Positive literals before the pivot join
+  /// atoms in [0, old_end), literals after it atoms in [0, end); while the
+  /// partial match still owes an atom at or above `mark`, the last literal
+  /// joins [mark, end) only.  The default window is a full join over every
+  /// atom present when each literal is reached.
+  struct Window {
+    std::size_t pivot = SIZE_MAX;
+    std::uint32_t old_end = kNoCap;
+    std::uint32_t end = kNoCap;
+    std::uint32_t mark = 0;
+  };
+
   void fixpoint() {
-    std::vector<Term> delta = seeds_;
+    std::uint32_t delta_begin = 0;  // first atom derived by the last round
     bool first_round = true;
     while (true) {
       ++iterations_;
-      round_ = static_cast<std::uint32_t>(iterations_);
-      std::vector<Term> next_delta;
+      const auto round_begin = static_cast<std::uint32_t>(store_.size());
       if (first_round || !opts_.semi_naive) {
         // Full instantiation of every rule against the current store (the
         // only mode of the naive reference path; round one of semi-naive).
         for (PreparedRule& pr : prepared_) {
-          if (pr.pos.empty()) {
-            if (first_round) {
-              Bindings b;
-              auto t0 = profile_begin(pr.rule_index);
-              instantiate(pr, b, SIZE_MAX, kNoCap, kNoCap, next_delta);
-              profile_end(pr.rule_index, t0);
-            }
-            continue;
+          if (pr.pos.empty() && !first_round) continue;
+          if (first_round) {
+            pr.first_seen = static_cast<std::uint32_t>(store_.size());
           }
           Bindings b;
           auto t0 = profile_begin(pr.rule_index);
-          instantiate(pr, b, SIZE_MAX, kNoCap, kNoCap, next_delta);
+          instantiate_at(pr, b, 0, Window{}, false);
           profile_end(pr.rule_index, t0);
         }
       } else {
-        // Semi-naive: bucket the delta by signature; a rule re-fires only
-        // through a pivot literal matching a delta atom of its signature.
-        // Exactness: literals before the pivot join against atoms strictly
-        // older than the delta and literals after it against atoms no newer
-        // than the delta, so a combination whose newest atom was derived in
-        // round m fires exactly once — in round m+1, with the pivot on its
-        // first newest-atom position.  (Atoms first seen mid-round during
-        // round one are the only exception; the binding-key filter in
-        // finish_instance absorbs those re-derivations.)
-        std::uint32_t pre_cap = round_ - 2;
-        std::uint32_t post_cap = round_ - 1;
-        std::unordered_map<SigId, std::vector<Term>> delta_by_sig;
-        for (Term d : delta) delta_by_sig[d.sig()].push_back(d);
+        // Semi-naive: the delta is the atoms of the last round, sequence
+        // numbers [delta_begin, round_begin); a rule re-fires only through a
+        // pivot literal matching a delta atom.  Literals before the pivot
+        // join atoms older than the delta and literals after it atoms no
+        // newer than the delta, so a combination whose newest atom came from
+        // round m fires exactly once -- in round m+1, with the pivot on its
+        // first position holding a round-m atom.  Round one instantiated
+        // each rule against every atom below its first_seen mark, so a
+        // combination fires only if it holds an atom at or above that mark
+        // (this only bites in round two: later deltas lie above every
+        // mark).  A rule that matched its own round-one output re-derives
+        // those combinations here; the content dedup drops them.
         for (PreparedRule& pr : prepared_) {
-          if (pr.pos.empty()) continue;
-          for (std::size_t pivot = 0; pivot < pr.pos.size(); ++pivot) {
-            auto bucket = delta_by_sig.find(pr.pos_sigs[pivot]);
-            if (bucket == delta_by_sig.end()) continue;
+          const std::size_t n = pr.pos.size();
+          if (n == 0) continue;
+          Window w{0, delta_begin, round_begin, pr.first_seen};
+          for (std::size_t pivot = 0; pivot < n; ++pivot) {
+            const std::vector<Term>& atoms = store_.all(pr.pos_sigs[pivot]);
+            // With no literal after the pivot, a delta atom below the mark
+            // can only complete combinations round one already saw.
+            std::uint32_t lo = pivot + 1 == n
+                                   ? std::max(delta_begin, pr.first_seen)
+                                   : delta_begin;
+            auto [first, last] = store_.slice(atoms, lo, round_begin);
+            if (first == last) continue;
+            w.pivot = pivot;
             auto t0 = profile_begin(pr.rule_index);
-            for (Term d : bucket->second) {
+            for (std::size_t di = first; di < last; ++di) {
+              Term d = atoms[di];
               Bindings b;
               if (!match(pr.pos[pivot]->atom, d, b)) continue;
-              instantiate(pr, b, pivot, pre_cap, post_cap, next_delta);
+              matched_[pivot] = d;
+              instantiate_at(pr, b, 0, w, store_.seq(d) < w.mark);
             }
             profile_end(pr.rule_index, t0);
           }
         }
       }
-      if (next_delta.empty()) break;
-      delta = std::move(next_delta);
+      if (store_.size() == round_begin) break;
+      delta_begin = round_begin;
       first_round = false;
     }
   }
 
-  /// Backtracking join over pr.pos; `skip` marks a literal already matched
-  /// (the semi-naive pivot; SIZE_MAX for none).  Literals before the pivot
-  /// only join atoms stamped <= pre_cap, literals after it atoms stamped
-  /// <= post_cap (kNoCap disables the filter).
-  void instantiate(PreparedRule& pr, Bindings& b, std::size_t skip,
-                   std::uint32_t pre_cap, std::uint32_t post_cap,
-                   std::vector<Term>& next_delta) {
-    instantiate_at(pr, b, 0, skip, pre_cap, post_cap, next_delta);
-  }
-
+  /// Backtracking join over pr.pos from position `i` under window `w`;
+  /// `owed` is set while the partial match holds no atom at or above
+  /// w.mark.  Each matched atom is kept in matched_ at its join position.
   void instantiate_at(PreparedRule& pr, Bindings& b, std::size_t i,
-                      std::size_t skip, std::uint32_t pre_cap,
-                      std::uint32_t post_cap,
-                      std::vector<Term>& next_delta) {
+                      const Window& w, bool owed) {
+    if (i == w.pivot) ++i;
     if (i == pr.pos.size()) {
-      finish_instance(pr, b, next_delta);
+      finish_instance(pr, b);
       return;
     }
-    if (i == skip) {
-      instantiate_at(pr, b, i + 1, skip, pre_cap, post_cap, next_delta);
-      return;
-    }
-    match_literal(pr.pos[i]->atom, b, i < skip ? pre_cap : post_cap,
-                  [&](Bindings& nb) {
-                    instantiate_at(pr, nb, i + 1, skip, pre_cap, post_cap,
-                                   next_delta);
-                  });
+    // A pivot in last place never starts owing (see fixpoint), so the
+    // literal in last place is the one that must pay a debt.
+    std::uint32_t lo = owed && i + 1 == pr.pos.size() ? w.mark : 0;
+    std::uint32_t hi = i < w.pivot ? w.old_end : w.end;
+    match_literal(pr.pos[i]->atom, b, lo, hi, [&](Bindings& nb, Term atom) {
+      matched_[i] = atom;
+      instantiate_at(pr, nb, i + 1, w, owed && store_.seq(atom) < w.mark);
+    });
   }
 
-  static constexpr std::uint32_t kNoCap = 0xffffffffu;
-
-  /// Enumerate ground atoms matching `pattern` under `b`, invoking `k` with
-  /// the extended bindings for each.  Only atoms stamped <= max_stamp are
-  /// considered (see instantiate).  The candidate list may grow while the
+  /// Enumerate ground atoms matching `pattern` under `b` whose sequence
+  /// numbers lie in [lo, hi), invoking `k` with the extended bindings and
+  /// the matched atom for each.  The candidate list may grow while the
   /// continuation runs (self-recursive predicates); only the prefix present
   /// at entry is visited, matching one semi-naive round.
   template <typename K>
-  void match_literal(Term pattern, Bindings& b, std::uint32_t max_stamp,
-                     K&& k) {
+  void match_literal(Term pattern, Bindings& b, std::uint32_t lo,
+                     std::uint32_t hi, K&& k) {
     Term inst = substitute(pattern, b);
     if (inst.is_ground()) {
       if (join_slot_) ++*join_slot_;
-      if (store_.contains(inst) && store_.stamp(inst) <= max_stamp) k(b);
+      if (store_.contains(inst) && store_.seq(inst) >= lo &&
+          store_.seq(inst) < hi) {
+        k(b, inst);
+      }
       return;
     }
     SigId sig = inst.sig();
@@ -590,53 +630,55 @@ class Grounder {
       }
     }
     if (candidates == nullptr) candidates = &store_.all(sig);
-    std::size_t frozen = candidates->size();
-    if (join_slot_) *join_slot_ += frozen;
+    auto [first, last] = store_.slice(*candidates, lo, hi);
+    if (join_slot_) *join_slot_ += last - first;
     std::size_t mark = b.size();
-    for (std::size_t i = 0; i < frozen; ++i) {
+    for (std::size_t i = first; i < last; ++i) {
       Term cand = (*candidates)[i];
-      if (store_.stamp(cand) > max_stamp) continue;
-      if (match(inst, cand, b)) k(b);
+      if (match(inst, cand, b)) k(b, cand);
       b.truncate(mark);
     }
   }
 
-  /// Ground the full rule body in rule-literal order under complete
-  /// bindings.  Rule order (not join order) keeps the emitted bodies — and
-  /// the choice-grouping keys below — independent of the join planner.
-  std::vector<Literal> ground_body(const Rule& r, Bindings& b) {
-    std::vector<Literal> body;
-    body.reserve(r.body.size());
-    for (const Literal& l : r.body) {
-      Term g = substitute(l.atom, b);
-      if (!g.is_ground()) {
-        throw AspError("body literal not ground after join: " + g.str_repr());
-      }
-      body.push_back({g, l.positive});
+  /// Ground a negative literal under complete bindings.
+  static Term ground_negative(const Literal& l, const Bindings& b) {
+    Term g = substitute(l.atom, b);
+    if (!g.is_ground()) {
+      throw AspError("negative literal not ground after join: " +
+                     g.str_repr());
     }
-    return body;
+    return g;
   }
 
-  void finish_instance(PreparedRule& pr, Bindings& b,
-                       std::vector<Term>& next_delta) {
-    const Rule& r = *pr.rule;
-    // Skip re-derived bindings before paying for substitution and content
-    // hashing — the bulk of completed joins are semi-naive re-derivations.
-    // The naive reference path keeps only the content-level dedup below.
-    if (opts_.semi_naive &&
-        !seen_bindings_.insert(binding_key(pr.rule_index, pr.elem, b))) {
-      return;
+  /// Ground literals in literal order: positive ones are the atoms the join
+  /// matched (slots index matched_), negative ones are substituted.  Rule
+  /// order (not join order) keeps the emitted bodies — and the
+  /// choice-grouping keys below — independent of the join planner.
+  std::vector<Literal> ground_lits(const std::vector<Literal>& lits,
+                                   const std::vector<std::uint32_t>& slots,
+                                   const Bindings& b) const {
+    std::vector<Literal> out;
+    out.reserve(lits.size());
+    for (std::size_t j = 0; j < lits.size(); ++j) {
+      const Literal& l = lits[j];
+      Term atom = l.positive ? matched_[slots[j]] : ground_negative(l, b);
+      out.push_back({atom, l.positive});
     }
+    return out;
+  }
+
+  void finish_instance(PreparedRule& pr, Bindings& b) {
+    const Rule& r = *pr.rule;
     // Evaluate comparisons.
     for (const Comparison& c : r.comparisons) {
       Comparison g{c.op, substitute(c.lhs, b), substitute(c.rhs, b)};
       if (!eval_comparison(g)) return;
     }
     if (pr.elem >= 0) {
-      finish_element(pr, b, next_delta);
+      finish_element(pr, b);
       return;
     }
-    std::vector<Literal> body = ground_body(r, b);
+    std::vector<Literal> body = ground_lits(r.body, pr.body_slot, b);
 
     switch (r.head.kind) {
       case Head::Kind::Atom: {
@@ -644,8 +686,7 @@ class Grounder {
         std::uint64_t key = instance_key(head, body);
         if (!seen_instances_.insert(key)) return;
         if (gprof_) ++gprof_->per_rule[pr.rule_index].instantiations;
-        if (store_.add(head, round_)) {
-          next_delta.push_back(head);
+        if (store_.add(head)) {
           record_atom_origin(head, static_cast<std::uint32_t>(pr.rule_index),
                              &b);
         }
@@ -698,25 +739,15 @@ class Grounder {
 
   /// Complete match of a choice-element pseudo-rule: record the ground
   /// element keyed by its owning rule instance's ground body.
-  void finish_element(PreparedRule& pr, Bindings& b,
-                      std::vector<Term>& next_delta) {
+  void finish_element(PreparedRule& pr, Bindings& b) {
     const Rule& r = *pr.rule;
     const ChoiceElement& e = r.head.elements[static_cast<std::size_t>(pr.elem)];
     Term atom = substitute(e.atom, b);
     if (!atom.is_ground()) {
       throw AspError("choice element atom not ground: " + atom.str_repr());
     }
-    std::vector<Literal> body = ground_body(r, b);
-    std::vector<Literal> cond;
-    cond.reserve(e.condition.size());
-    for (const Literal& l : e.condition) {
-      Term g = substitute(l.atom, b);
-      if (!g.is_ground()) {
-        throw AspError("choice condition literal not ground after join: " +
-                       g.str_repr());
-      }
-      cond.push_back({g, l.positive});
-    }
+    std::vector<Literal> body = ground_lits(r.body, pr.body_slot, b);
+    std::vector<Literal> cond = ground_lits(e.condition, pr.cond_slot, b);
     Hasher h;
     h.field_u64(0x456c656d2e);  // tag: choice element
     h.field_u64(pr.rule_index);
@@ -727,8 +758,7 @@ class Grounder {
     hash_body(h, cond);
     if (!seen_instances_.insert(h.lo() ^ h.hi())) return;
     if (gprof_) ++gprof_->per_rule[pr.rule_index].instantiations;
-    if (store_.add(atom, round_)) {
-      next_delta.push_back(atom);
+    if (store_.add(atom)) {
       record_atom_origin(atom, static_cast<std::uint32_t>(pr.rule_index), &b);
     }
     elem_instances_.push_back(
@@ -742,8 +772,9 @@ class Grounder {
       k();
       return;
     }
-    match_literal(pos[i]->atom, b, kNoCap,
-                  [&](Bindings&) { enumerate_condition(pos, i + 1, b, k); });
+    match_literal(pos[i]->atom, b, 0, kNoCap, [&](Bindings&, Term) {
+      enumerate_condition(pos, i + 1, b, k);
+    });
   }
 
   // -- certainty -----------------------------------------------------------
@@ -937,9 +968,7 @@ class Grounder {
   AtomStore store_;                           // membership == "possible"
   TermFlags certain_;
   std::vector<Term> certain_list_;
-  std::vector<Term> seeds_;
   U64Set seen_instances_;
-  U64Set seen_bindings_;
   std::vector<Instance> instances_;
   std::vector<ChoiceInstance> choice_instances_;
   std::vector<ElemInstance> elem_instances_;
@@ -950,8 +979,10 @@ class Grounder {
   std::uint64_t* join_slot_ = nullptr;
   std::vector<Provenance::Origin> inst_origin_;         // || instances_
   std::vector<Provenance::Origin> choice_inst_origin_;  // || choice_instances_
+  // The atom each join position matched, for the join in progress
+  // (sized to the longest positive body in prepare_rules).
+  std::vector<Term> matched_;
   std::size_t iterations_ = 0;
-  std::uint32_t round_ = 0;  // current fixpoint round (stamps new atoms)
 };
 
 }  // namespace

@@ -26,7 +26,21 @@
 //     incrementally — no rebuilds, no candidate copying);
 //   * a join planner that orders body literals by bound-variable overlap
 //     and predicate extension size (selectivity);
-//   * semi-naive delta evaluation instead of naive full re-instantiation.
+//   * exact semi-naive delta evaluation instead of naive full
+//     re-instantiation.  Atoms carry their insertion sequence number, so a
+//     round's delta and its "older" / "no newer" windows are sequence
+//     bounds, and each candidate list is scanned as one [lo, hi) slice.
+//     Every body combination is completed once: in the round after its
+//     newest atom appeared, or in round one, which each rule records as a
+//     store-size watermark (`first_seen`) that later rounds must reach
+//     above.  Only a rule that matched its own round-one output completes a
+//     combination twice; the content-level instance dedup drops the copy.
+//
+// Ground bodies are assembled from the store atoms the join matched, and
+// the emission order is a pure function of the program: rules are emitted
+// in instantiation order, atoms in first-emission order.  The SAT variable
+// order, and with it which of several equally good answers the solver
+// returns, follows from that order.
 #pragma once
 
 #include <cstdint>

@@ -21,9 +21,10 @@ bool cost_empty(const OriginCost& c) {
          c.learned == 0;
 }
 
-/// The predicate a source rule defines, for the per-predicate table of
-/// unnoted (encoding-internal) rules.
-std::string head_pred(const Rule& r) {
+/// The row an unnoted (encoding-internal) source rule folds into: the
+/// predicate it defines, or for an integrity constraint, which defines
+/// none, its own text -- so each constraint is a row of its own.
+std::string encoding_row(const Rule& r) {
   switch (r.head.kind) {
     case Head::Kind::Atom:
       return Term::sig_str(r.head.atom.sig());
@@ -32,9 +33,10 @@ std::string head_pred(const Rule& r) {
                  ? "choice"
                  : Term::sig_str(r.head.elements[0].atom.sig());
     case Head::Kind::None:
-      return "constraint";
+      break;
   }
-  return "constraint";
+  std::string text = r.str();  // " :- body."
+  return text.substr(text.find_first_not_of(' '));
 }
 
 json::Value sat_cost_json(const OriginCost& c) {
@@ -90,8 +92,7 @@ double Profile::Row::score() const {
          static_cast<double>(sat.participations) +
          0.1 * static_cast<double>(sat.propagations) +
          static_cast<double>(ground.instantiations) +
-         0.05 * static_cast<double>(ground.join_candidates) +
-         1e6 * ground.seconds;
+         0.05 * static_cast<double>(ground.join_candidates);
 }
 
 json::Value Profile::Row::to_json() const {
@@ -171,7 +172,7 @@ std::string Profile::summary(std::size_t top) const {
     }
   };
   table("hot directives:", directives, top);
-  table("hot encoding predicates:", predicates, top);
+  table("hot encoding rules:", predicates, top);
   table("buckets:", buckets, 0);
   return out;
 }
@@ -299,10 +300,11 @@ Profile aggregate_profile(const ProfileData& data, const Program& source) {
       continue;
     }
     const Rule& r = source.rules()[ri];
+    const bool located = !r.note.empty() || r.head.kind == Head::Kind::None;
     Profile::Row& row = r.note.empty()
-                            ? merged_row(by_pred, head_pred(r))
+                            ? merged_row(by_pred, encoding_row(r))
                             : merged_row(by_note, r.note);
-    if (!r.note.empty() && !row.loc_known && r.loc.known()) {
+    if (located && !row.loc_known && r.loc.known()) {
       row.loc_known = true;
       row.rule_index = static_cast<std::uint32_t>(ri);
       row.line = r.loc.line;

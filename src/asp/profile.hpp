@@ -82,11 +82,13 @@ struct Profile {
   };
 
   /// One cost table row: a package directive (name == Rule::note), a
-  /// predicate, or a named bucket.
+  /// predicate, an unnoted integrity constraint (name == its rule text), or
+  /// a named bucket.
   struct Row {
     std::string name;
-    /// Source location of the (first) source rule behind this row;
-    /// loc_known false for predicates and buckets.
+    /// Source location of the (first) source rule behind this row: the
+    /// line and column within the text fragment it was parsed from for a
+    /// constraint row; loc_known false for predicates and buckets.
     bool loc_known = false;
     std::uint32_t rule_index = 0xffffffffu;  ///< 0xffffffff = not recorded
     std::uint32_t line = 0;
@@ -99,15 +101,18 @@ struct Profile {
 
     /// Unitless hotness: a heuristic blend that lets directives with pure
     /// grounding cost and directives with pure search cost share one
-    /// ranking.  Conflicts dominate (each implies a full 1UIP analysis);
-    /// ground wall time is scaled to microseconds so it competes.
+    /// ranking.  Conflicts dominate (each implies a full 1UIP analysis).
+    /// Counts only, no wall time, so rows rank the same on every run and
+    /// under every build type.
     double score() const;
 
     json::Value to_json() const;
   };
 
   std::vector<Row> directives;  ///< non-empty Rule::note rows, hottest first
-  std::vector<Row> predicates;  ///< unnoted encoding rules by head predicate
+  /// Unnoted encoding rules by head predicate; unnoted integrity
+  /// constraints one row each, keyed by rule text.
+  std::vector<Row> predicates;
   std::vector<Row> buckets;     ///< encoding-internal, fact, loop-nogood, ...
 
   sat::SatStats sat_totals;

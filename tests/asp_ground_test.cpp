@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "src/asp/ground.hpp"
 #include "src/asp/parser.hpp"
@@ -191,6 +193,84 @@ TEST(Ground, LargeFactBaseScales) {
     if (gp.atom_term(f).signature() == "same_host/2") ++count;
   }
   EXPECT_EQ(count, 50 * 40 * 39);
+}
+
+// ---- exact semi-naive evaluation ------------------------------------------
+
+/// Ground rules as sorted "head :- body" strings (bodies sorted too), so
+/// two programs compare equal modulo atom and rule order and duplicates
+/// stay visible.
+std::vector<std::string> rule_texts(const GroundProgram& gp) {
+  std::vector<std::string> out;
+  for (const GRule& r : gp.rules) {
+    std::vector<std::string> body;
+    for (const GLit& l : r.body) {
+      body.push_back((l.positive ? "" : "not ") +
+                     gp.atom_term(l.atom).str_repr());
+    }
+    std::sort(body.begin(), body.end());
+    std::string text = r.has_head ? gp.atom_term(r.head).str_repr() : "";
+    text += " :-";
+    for (const std::string& b : body) text += " " + b;
+    out.push_back(std::move(text));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+GroundProgram ground_profiled(const Program& p) {
+  GroundOptions opts;
+  opts.profile = true;
+  return ground(p, opts);
+}
+
+TEST(Ground, PairwiseConstraintOverMidRoundOneAtomsScansEachPairOnce) {
+  // The pick/1 atoms are choice elements derived in round one, before the
+  // constraint is instantiated, so round one already completes every pair.
+  // Round two must not pass over those pairs again: the constraint scans
+  // n candidates for its outer literal and n for each inner one, nothing
+  // more (a round-stamped semi-naive pass scans ~3n^2).
+  constexpr std::uint64_t n = 40;
+  std::string text;
+  for (std::uint64_t i = 1; i <= n; ++i) {
+    text += "item(" + std::to_string(i) + ").\n";
+  }
+  text += "{ pick(X) : item(X) }.\n";
+  text += ":- pick(X), pick(Y), X < Y.\n";
+  Program p = parse_program(text);
+  const std::size_t constraint = p.rules().size() - 1;
+  ASSERT_EQ(p.rules()[constraint].head.kind, Head::Kind::None);
+
+  GroundProgram gp = ground_profiled(p);
+  ASSERT_NE(gp.profile, nullptr);
+  const GroundProfile::RuleCost& cost = gp.profile->per_rule[constraint];
+  EXPECT_EQ(cost.join_candidates, n * n + n);
+  EXPECT_EQ(cost.instantiations, n * (n - 1) / 2);
+  EXPECT_EQ(cost.emitted_rules, n * (n - 1) / 2);
+  EXPECT_EQ(rule_texts(gp), rule_texts(ground_reference(p)));
+}
+
+TEST(Ground, SelfFeedingRecursionMatchesReferenceWithoutDuplicates) {
+  // The recursive rule joins edge/2 first, then path/2 through the index
+  // on its first argument.  Edges come out in the order cd, bc, ab, so in
+  // round one the rule derives path(b,d) from edge(b,c) and then already
+  // matches it for edge(a,b): it sees its own round-one output, and round
+  // two re-derives that join.  The instance must still be emitted once.
+  Program p = parse_program(R"(
+    { edge(c, d); edge(b, c); edge(a, b) }.
+    path(X, Y) :- edge(X, Y).
+    path(X, Z) :- edge(X, Y), path(Y, Z).
+  )");
+  GroundProgram gp = ground_profiled(p);
+  std::vector<std::string> rules = rule_texts(gp);
+  EXPECT_EQ(std::adjacent_find(rules.begin(), rules.end()), rules.end())
+      << "duplicate ground rule";
+  EXPECT_EQ(rules, rule_texts(ground_reference(p)));
+  // Three edges, three direct paths, and bd, ac, ad through recursion.
+  EXPECT_EQ(rules.size(), 6u);
+  ASSERT_NE(gp.profile, nullptr);
+  EXPECT_EQ(gp.profile->per_rule[2].instantiations, 3u);
+  EXPECT_EQ(gp.stats.iterations, 2u);
 }
 
 }  // namespace

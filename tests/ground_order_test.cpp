@@ -1,0 +1,158 @@
+// Emission-order pin for the grounder on the RADIUSS workload.
+//
+// The solver breaks ties between equally good answers by variable order,
+// and variable order follows the ground program's atom table.  A grounder
+// change that emits the same *set* of rules in a different order (which
+// the reference-vs-optimized differential tolerates) can therefore move
+// which binary a splice is taken from.  This test digests the optimized
+// GroundProgram in emission order -- atom table, facts, rules, choices,
+// minimize -- for every RADIUSS request with splicing on and the local
+// cache, and pins each digest.
+//
+// The digests are pinned, not derived: a change that moves one must say
+// why in its own commit and re-pin here, with the splice-origin goldens of
+// the benchmark checked at the same time.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/asp/ground.hpp"
+#include "src/concretize/concretizer.hpp"
+#include "src/support/hash.hpp"
+#include "src/workload/caches.hpp"
+#include "src/workload/radiuss.hpp"
+
+namespace splice::concretize {
+namespace {
+
+void digest_lits(Hasher& h, const std::vector<asp::GLit>& lits) {
+  h.field_u64(lits.size());
+  for (const asp::GLit& l : lits) {
+    h.field_u64(l.atom);
+    h.field_u64(l.positive ? 1 : 0);
+  }
+}
+
+void digest_bound(Hasher& h, const std::optional<std::int64_t>& b) {
+  h.field_u64(b ? 1 : 0);
+  h.field_u64(b ? static_cast<std::uint64_t>(*b) : 0);
+}
+
+/// Order-sensitive digest of a ground program.  Atoms are hashed by their
+/// text, so the digest does not depend on term-interning order.
+std::string emission_digest(const asp::GroundProgram& gp) {
+  Hasher h;
+  h.field("atoms");
+  h.field_u64(gp.num_atoms());
+  for (asp::AtomId a = 0; a < gp.num_atoms(); ++a) {
+    h.field(gp.atom_term(a).str_repr());
+  }
+  h.field("facts");
+  h.field_u64(gp.facts.size());
+  for (asp::AtomId f : gp.facts) h.field_u64(f);
+  h.field("rules");
+  h.field_u64(gp.rules.size());
+  for (const asp::GRule& r : gp.rules) {
+    h.field_u64(r.has_head ? 1 : 0);
+    h.field_u64(r.head);
+    digest_lits(h, r.body);
+  }
+  h.field("choices");
+  h.field_u64(gp.choices.size());
+  for (const asp::GChoice& c : gp.choices) {
+    digest_bound(h, c.lower);
+    digest_bound(h, c.upper);
+    h.field_u64(c.elements.size());
+    for (const asp::GChoiceElem& e : c.elements) {
+      h.field_u64(e.atom);
+      digest_lits(h, e.condition);
+    }
+    digest_lits(h, c.body);
+  }
+  h.field("minimize");
+  h.field_u64(gp.minimize.size());
+  for (const asp::GMinTerm& m : gp.minimize) {
+    h.field_u64(static_cast<std::uint64_t>(m.weight));
+    h.field_u64(static_cast<std::uint64_t>(m.priority));
+    h.field(m.tuple_repr);
+    h.field_u64(m.conditions.size());
+    for (const auto& cond : m.conditions) digest_lits(h, cond);
+  }
+  return h.hex();
+}
+
+/// The benchmark's RADIUSS requests: "<root> ^mpiabi" for every
+/// MPI-dependent root, the bare root otherwise.
+std::vector<std::string> radiuss_requests() {
+  std::vector<std::string> out;
+  for (const std::string& root : workload::radiuss_roots()) {
+    out.push_back(workload::depends_on_mpi(root) ? root + " ^mpiabi" : root);
+  }
+  return out;
+}
+
+/// Digests taken from the grounder before semi-naive evaluation was made
+/// exact (binding-fingerprint dedup); the exact grounder must match them.
+const std::vector<std::pair<std::string, std::string>>& pinned() {
+  static const std::vector<std::pair<std::string, std::string>> kPinned = {
+      {"ascent ^mpiabi", "5d5a54891c5add72adafa4b08eb7bae8"},
+      {"axom ^mpiabi", "38a9ea19e163c1860147dbdf95374a6c"},
+      {"blt", "1c20a6b1a4b5bb186985a706adb9d045"},
+      {"caliper ^mpiabi", "dd0ad6dfb8d8e7c4d62e08202ad28bdb"},
+      {"camp", "ad57c258b27d0969b38a77833c4f9e25"},
+      {"care", "75c75ec2e3b94605f4f06f447ac4ac4e"},
+      {"chai", "6d0ab236d27a2b1581c2ab807073bc57"},
+      {"conduit ^mpiabi", "fe7b71cf88683d8d90a42f262c7b2c5f"},
+      {"flux-core", "8dba0461355ce69f3cb9eab439e5c5ee"},
+      {"flux-sched", "cb3281cd63e646013a3fa6dfda080a6c"},
+      {"glvis ^mpiabi", "316d06473b5d43111fc378b3040d3f93"},
+      {"py-hatchet", "b5f7f1a3d515c688c777272b80cfa27a"},
+      {"hypre ^mpiabi", "e6ead75dd2f1cb01d06bae54f7013711"},
+      {"kripke ^mpiabi", "f5b29e9b8779d7b2521be34bbd5dbd92"},
+      {"laghos ^mpiabi", "3f952aa51aa53a02b7dda284f8494255"},
+      {"lbann ^mpiabi", "0c3d4c29f5f21adabd972faef0c09d0f"},
+      {"lvarray", "bb235344738ee9dcf7226cc80acbb54e"},
+      {"py-maestrowf", "5a5e94cd25787d9c6f6f6401c5ccbeb3"},
+      {"py-merlin", "259a4dbb2a7d4c7f258bc5e17b73c636"},
+      {"mfem ^mpiabi", "5b7e1d859544511fa638bf20b1c30af4"},
+      {"mpifileutils ^mpiabi", "37aff6b8468ae9eb355a7aa91a142bce"},
+      {"raja", "995497a52c3e2a2bc27d4de286caeedb"},
+      {"samrai ^mpiabi", "e08c54fd5d26779464e8397c1891be55"},
+      {"scr ^mpiabi", "4e33a26dce142c231c283ea1de48126b"},
+      {"serac ^mpiabi", "ffc1a8ae9f3d10cf3a3a5be055c42a6b"},
+      {"sundials ^mpiabi", "15bc8255c6caf138ada11019367f99f7"},
+      {"umpire", "e12d553caf352c7975abb5d67e22d5a5"},
+      {"visit ^mpiabi", "9360f25fb2d44e7e7434fa9c4e08d01a"},
+      {"xbraid ^mpiabi", "09a54230e5c9cc0887bf72e860c44793"},
+      {"zfp", "2789befe7d3641bb2c49de4b5f562ff7"},
+      {"py-shroud", "f66a72ceacd7ecafa4c4f61aeac1aa1b"},
+      {"py-spot", "1725583e6e257513dec3ebe63a9f3f24"},
+  };
+  return kPinned;
+}
+
+TEST(GroundOrder, RadiussEmissionOrderIsPinned) {
+  repo::Repository repo = workload::radiuss_repo();
+  ConcretizerOptions opts;
+  opts.encoding = ReuseEncoding::Indirect;
+  opts.enable_splicing = true;
+  opts.prune_reuse = true;
+  Concretizer c(repo, opts);
+  c.add_reusable_all(workload::local_cache_specs(repo));
+
+  std::vector<std::string> requests = radiuss_requests();
+  ASSERT_EQ(requests.size(), pinned().size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const auto& [text, want] = pinned()[i];
+    ASSERT_EQ(requests[i], text);
+    asp::GroundProgram gp = asp::ground(c.compile_program({Request(text)}));
+    EXPECT_EQ(emission_digest(gp), want) << text;
+  }
+}
+
+}  // namespace
+}  // namespace splice::concretize

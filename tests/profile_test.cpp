@@ -256,6 +256,29 @@ TEST(ProfileAggregate, NotesBecomeDirectiveRows) {
   EXPECT_TRUE(has_unattributed);
 }
 
+TEST(ProfileAggregate, ConstraintRowsAreNamedByTextWithLocation) {
+  // An unnoted integrity constraint defines no predicate: it gets a row of
+  // its own, named by its text and located at its line in the source.
+  Program p = pigeonhole(3);
+  SolveResult r = profiled_solve(p);
+  ASSERT_NE(r.profile, nullptr);
+  Profile prof = aggregate_profile(*r.profile, p);
+  const std::string text = ":- at(P1,H), at(P2,H), P1<P2.";
+  auto row = std::find_if(
+      prof.predicates.begin(), prof.predicates.end(),
+      [&](const Profile::Row& x) { return x.name == text; });
+  ASSERT_NE(row, prof.predicates.end());
+  EXPECT_TRUE(row->loc_known);
+  EXPECT_EQ(row->rule_index, p.rules().size() - 1);
+  EXPECT_EQ(row->line, 8u);  // 4 choice rules and 3 facts precede it
+  EXPECT_EQ(row->col, 1u);
+  EXPECT_GT(row->ground.instantiations, 0u);
+  EXPECT_NE(prof.summary(10).find(text), std::string::npos);
+  for (const Profile::Row& x : prof.predicates) {
+    EXPECT_NE(x.name, "constraint");
+  }
+}
+
 TEST(ProfileAggregate, JsonAndFoldedShapes) {
   SolveResult r = profiled_solve(pigeonhole(4));
   ASSERT_NE(r.profile, nullptr);
@@ -314,6 +337,30 @@ TEST(ConcretizerProfile, RadiussTopDirectiveHasSourceLocation) {
   EXPECT_EQ(doc.find("requests")->as_array().size(), 1u);
   EXPECT_NE(report.text(5).find("hot directives"), std::string::npos);
   EXPECT_FALSE(report.folded().empty());
+}
+
+TEST(ConcretizerProfile, RadiussNamesTheHashUniquenessConstraint) {
+  // The pairwise hash-uniqueness constraint is the grounder's largest
+  // encoding cost on reuse-heavy requests; the profile names it by text
+  // and points into the encoding fragment it comes from.
+  repo::Repository repo = workload::radiuss_repo();
+  ConcretizerOptions opts;
+  opts.enable_splicing = true;
+  Concretizer c(repo, opts);
+  for (const auto& s : workload::local_cache_specs(repo)) c.add_reusable(s);
+
+  ProfileReport report = c.profile({Request("visit ^mpiabi")});
+  const std::string text =
+      R"(:- attr("hash",node(P),H1), attr("hash",node(P),H2), H1<H2.)";
+  const auto& rows = report.profile.predicates;
+  auto row = std::find_if(rows.begin(), rows.end(),
+                          [&](const asp::Profile::Row& x) {
+                            return x.name == text;
+                          });
+  ASSERT_NE(row, rows.end());
+  EXPECT_TRUE(row->loc_known);
+  EXPECT_GT(row->line, 0u);
+  EXPECT_GT(row->ground.join_candidates, 0u);
 }
 
 TEST(ConcretizerProfile, UnsatRequestStillAttributed) {
