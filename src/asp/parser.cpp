@@ -28,7 +28,10 @@ struct Token {
 
 class Lexer {
  public:
-  explicit Lexer(std::string_view text) : text_(text) { advance(); }
+  explicit Lexer(std::string_view text, std::size_t first_line = 1)
+      : text_(text), line_(first_line) {
+    advance();
+  }
 
   const Token& peek() const { return current_; }
 
@@ -218,8 +221,10 @@ class Lexer {
 
 class AspParser {
  public:
-  AspParser(Program& program, std::string_view text)
-      : program_(program), lex_(text) {}
+  AspParser(Program& program, std::string_view text, SourceLoc origin = {})
+      : program_(program),
+        lex_(text, origin.known() ? origin.line : 1),
+        file_(origin.file) {}
 
   void parse() {
     while (lex_.peek().kind != Tok::End) statement();
@@ -239,7 +244,7 @@ class AspParser {
 
   void statement() {
     const Token& t = lex_.peek();
-    SourceLoc loc{t.line, t.col};
+    SourceLoc loc{t.line, t.col, file_};
     if (t.kind == Tok::Hash) {
       minimize();
       return;
@@ -318,7 +323,7 @@ class AspParser {
     while (true) {
       MinimizeElement m;
       const Token& w = lex_.peek();
-      m.loc = SourceLoc{w.line, w.col};
+      m.loc = SourceLoc{w.line, w.col, file_};
       if (w.kind != Tok::Int && w.kind != Tok::Variable) {
         lex_.fail("minimize element must start with a weight (integer or variable)");
       }
@@ -447,6 +452,7 @@ class AspParser {
 
   Program& program_;
   Lexer lex_;
+  const char* file_;  // stamped on every SourceLoc; may be null
 };
 
 }  // namespace
@@ -457,8 +463,8 @@ Program parse_program(std::string_view text) {
   return p;
 }
 
-void parse_into(Program& program, std::string_view text) {
-  AspParser(program, text).parse();
+void parse_into(Program& program, std::string_view text, SourceLoc origin) {
+  AspParser(program, text, origin).parse();
 }
 
 Term parse_term_text(std::string_view text) {

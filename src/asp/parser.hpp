@@ -30,8 +30,11 @@ namespace splice::asp {
 /// Parse a program; throws splice::ParseError with position info on error.
 Program parse_program(std::string_view text);
 
-/// Parse statements into an existing program (appends).
-void parse_into(Program& program, std::string_view text);
+/// Parse statements into an existing program (appends).  `origin` places
+/// text embedded in a source file: line numbers count from origin.line
+/// and every location carries origin.file; columns are unchanged.
+void parse_into(Program& program, std::string_view text,
+                SourceLoc origin = {});
 
 /// Parse a single term, e.g. `node("example")`.
 Term parse_term_text(std::string_view text);

@@ -309,6 +309,7 @@ Profile aggregate_profile(const ProfileData& data, const Program& source) {
       row.rule_index = static_cast<std::uint32_t>(ri);
       row.line = r.loc.line;
       row.col = r.loc.col;
+      if (r.loc.file != nullptr) row.file = r.loc.file;
     }
     add_cost(row.sat, scost);
     row.ground.instantiations += gcost.instantiations;

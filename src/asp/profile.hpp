@@ -87,14 +87,16 @@ struct Profile {
   struct Row {
     std::string name;
     /// Source location of the (first) source rule behind this row: the
-    /// line and column within the text fragment it was parsed from for a
-    /// constraint row; loc_known false for predicates and buckets.
+    /// line and column within the text it was parsed from for a constraint
+    /// row (within its source file when the text was parsed with an
+    /// origin); loc_known false for predicates and buckets.
     bool loc_known = false;
     std::uint32_t rule_index = 0xffffffffu;  ///< 0xffffffff = not recorded
     std::uint32_t line = 0;
     std::uint32_t col = 0;
-    /// Declaring file, when a higher layer can resolve the row to a real
-    /// declaration site (concretize:: fills this from repo::DirectiveLoc).
+    /// Declaring file, when the row resolves to a real declaration site:
+    /// the SourceLoc file of an encoding rule parsed with an origin, or
+    /// (concretize:: fills this) a directive's repo::DirectiveLoc.
     std::string file;
     sat::SatProfile::OriginCost sat;
     GroundCost ground;

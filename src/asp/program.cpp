@@ -8,7 +8,8 @@ namespace splice::asp {
 
 std::string SourceLoc::str() const {
   if (!known()) return "?";
-  return std::to_string(line) + ":" + std::to_string(col);
+  std::string out = file != nullptr ? std::string(file) + ":" : "";
+  return out + std::to_string(line) + ":" + std::to_string(col);
 }
 
 std::string_view cmp_op_str(CmpOp op) {

@@ -25,12 +25,15 @@ namespace splice::asp {
 /// 1-based source position of a statement within the text it was parsed
 /// from.  Statements built programmatically (Term API) have line == 0 and
 /// compare as "unknown"; diagnostics fall back to the rule's printed form.
+/// Text embedded in a source file (parse_into with an origin) carries that
+/// file's basename and counts lines from where the text starts in it.
 struct SourceLoc {
   std::uint32_t line = 0;
   std::uint32_t col = 0;
+  const char* file = nullptr;  ///< static storage; null for free-standing text
 
   bool known() const { return line > 0; }
-  /// "line:col", or "?" when unknown.
+  /// "line:col" ("file:line:col" with a file), or "?" when unknown.
   std::string str() const;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <set>
 #include <string_view>
@@ -36,10 +37,20 @@ Term attr_(std::string_view a, std::initializer_list<Term> args) {
   return Term::fun("attr", all);
 }
 
+/// A static logic fragment and where it is written.  Its rules are parsed
+/// with that origin, so profile rows and explanations name the
+/// concretizer.cpp line of an encoding rule the way repo::DirectiveLoc
+/// names a directive's declaring line.
+struct LogicFragment {
+  const char* file;    ///< __FILE__ of the definition
+  std::uint32_t line;  ///< __LINE__ of the line that opens the raw string
+  std::string_view text;
+};
+
 /// The static concretization logic (paper §5.1): choices for versions,
 /// variants, os/target, virtual providers, and reuse; consistency
 /// constraints; reused-spec imposition; optimization objectives.
-constexpr std::string_view kBaseLogic = R"(
+constexpr LogicFragment kBaseLogic{__FILE__, __LINE__, R"(
 % ---- node existence -------------------------------------------------------
 % Any known package may appear as a node (choice, externally supported);
 % non-root nodes must be depended upon by another node.
@@ -100,25 +111,25 @@ attr("hash", node(D), DH) :- impose(H, node(_P)), imposed_constraint(H, "hash", 
 #minimize { 100@100, P : build(P) }.
 % Then prefer newer versions.
 #minimize { W@20, P : attr("version", node(P), V), pkg_fact(P, version_declared(V, W)) }.
-)";
+)"};
 
 /// Recovery of imposed_constraint from the indirect hash_attr encoding
 /// (paper Figure 3b).  `spliced_away` has no deriving rule unless the
 /// splicing fragment is loaded, in which case the negation becomes live.
-constexpr std::string_view kIndirectRecovery = R"(
+constexpr LogicFragment kIndirectRecovery{__FILE__, __LINE__, R"(
 imposed_constraint(H, "version", P, V) :- hash_attr(H, "version", P, V).
 imposed_constraint(H, "variant", P, Var, Val) :- hash_attr(H, "variant", P, Var, Val).
 imposed_constraint(H, "node_os", P, O) :- hash_attr(H, "node_os", P, O).
 imposed_constraint(H, "node_target", P, T) :- hash_attr(H, "node_target", P, T).
 imposed_constraint(H, "depends_on", P, D) :- hash_attr(H, "depends_on", P, D), hash_attr(H, "hash", D, _DH), not spliced_away(H, D).
 imposed_constraint(H, "hash", D, DH) :- hash_attr(H, "hash", D, DH), not spliced_away(H, D).
-)";
+)"};
 
 /// Automatic splice synthesis (paper Figure 4b).  A reused parent H whose
 /// dependency (D, DH) has a can_splice-compatible solution node R may drop
 /// the original dependency (spliced_away) and must then splice exactly one
 /// compatible replacement in.
-constexpr std::string_view kSpliceLogic = R"(
+constexpr LogicFragment kSpliceLogic{__FILE__, __LINE__, R"(
 splice_candidate(H, D, R) :- hash_attr(H, "hash", D, DH), can_splice(node(R), D, DH).
 spliceable(H, D) :- splice_candidate(H, D, _R).
 imposed_any(H) :- impose(H, node(_P)).
@@ -128,7 +139,7 @@ attr("depends_on", node(P), node(R), "link") :- impose(H, node(P)), splice_with(
 attr("splice", node(P), D, R) :- impose(H, node(P)), splice_with(H, D, R).
 % Mild penalty so plain reuse beats an equivalent spliced solution.
 #minimize { 1@50, H, D : spliced_away(H, D) }.
-)";
+)"};
 
 /// Parse a static logic fragment once per process and hand out the parsed
 /// Program for extend()-ing into compiled programs (the fragments are
@@ -136,12 +147,16 @@ attr("splice", node(P), D, R) :- impose(H, node(P)), splice_with(H, D, R).
 /// may compile on concurrent audit workers, so the lazy parse is serialized;
 /// the entry is fully built before any caller's reference escapes the lock,
 /// and map node references survive later insertions.
-const Program& cached_fragment(std::string_view text) {
+const Program& cached_fragment(const LogicFragment& f) {
   static std::mutex mu;
   static std::map<const void*, Program> cache;
   std::scoped_lock lock(mu);
-  auto [it, inserted] = cache.try_emplace(text.data());
-  if (inserted) asp::parse_into(it->second, text);
+  auto [it, inserted] = cache.try_emplace(f.text.data());
+  if (inserted) {
+    const char* slash = std::strrchr(f.file, '/');
+    asp::parse_into(it->second, f.text,
+                    asp::SourceLoc{f.line, 1, slash ? slash + 1 : f.file});
+  }
   return it->second;
 }
 

@@ -1,5 +1,6 @@
 #include "src/workload/resolver.hpp"
 
+#include <algorithm>
 #include <set>
 
 #include "src/support/error.hpp"
@@ -22,7 +23,8 @@ struct NodeState {
   Version version;
   std::map<std::string, std::string> variants;
   std::set<std::pair<std::string, DepType>> deps;
-  bool resolved = false;
+  bool resolved = false;  // expanded in the current pass
+  bool visited = false;   // expanded in any pass: part of the read set
 };
 
 class Resolution {
@@ -32,7 +34,7 @@ class Resolution {
       : repo_(repo), choices_(choices), os_(std::move(os)),
         target_(std::move(target)) {}
 
-  Spec run(const std::string& root) {
+  Spec run(const std::string& root, ReadSet* reads) {
     // Seed explicit choices as accumulated constraints.
     for (const auto& [name, vc] : choices_.versions) {
       states_[name].constraint = vc;
@@ -47,7 +49,11 @@ class Resolution {
       for (auto& [name, st] : states_) st.resolved = false;
       order_.clear();
       expand(root);
-      if (!changed_) return materialize(root);
+      if (!changed_) {
+        Spec out = materialize(root);
+        if (reads != nullptr) record_reads(*reads);
+        return out;
+      }
     }
     throw UnsatisfiableError("greedy resolution did not converge for " + root);
   }
@@ -77,6 +83,7 @@ class Resolution {
     NodeState& st = states_[name];
     if (st.resolved) return;
     st.resolved = true;
+    st.visited = true;
     order_.push_back(name);
     const PackageDef& pkg = repo_.get(name);
 
@@ -120,6 +127,7 @@ class Resolution {
       if (dep.when && !spec::node_satisfies(self, dep.when->root())) continue;
       std::string dep_name = dep.target.root().name;
       if (repo_.is_virtual(dep_name)) {
+        virtuals_read_.insert(dep_name);
         auto it = choices_.providers.find(dep_name);
         if (it == choices_.providers.end()) {
           throw UnsatisfiableError("no provider chosen for virtual '" +
@@ -145,6 +153,16 @@ class Resolution {
       // materialize()).
       conflicts_.push_back({name, &c});
     }
+  }
+
+  /// Every package a pass visited -- not only the final pass: conflicts
+  /// and constraints collected in an earlier pass still shape the result.
+  void record_reads(ReadSet& reads) const {
+    reads.packages.clear();
+    for (const auto& [name, st] : states_) {
+      if (st.visited) reads.packages.push_back(name);
+    }
+    reads.virtuals.assign(virtuals_read_.begin(), virtuals_read_.end());
   }
 
   Spec materialize(const std::string& root) {
@@ -197,14 +215,103 @@ class Resolution {
   std::map<std::string, NodeState> states_;
   std::vector<std::string> order_;
   std::vector<std::pair<std::string, const repo::ConditionalSpec*>> conflicts_;
+  std::set<std::string> virtuals_read_;
   bool changed_ = false;
 };
 
 }  // namespace
 
 Spec SimpleResolver::resolve(const std::string& root,
-                             const ResolveChoices& choices) const {
-  return Resolution(repo_, choices, os_, target_).run(root);
+                             const ResolveChoices& choices,
+                             ReadSet* reads) const {
+  return Resolution(repo_, choices, os_, target_).run(root, reads);
+}
+
+namespace {
+
+// Entry keys of the two per-name choice kinds that carry no key of their
+// own; interned ids count up from 0 and never reach these.
+constexpr std::uint32_t kVersionKey = 0xffffffffu;
+constexpr std::uint32_t kProviderKey = 0xfffffffeu;
+
+bool has_bit(const std::vector<bool>& bits, std::uint32_t id) {
+  return id < bits.size() && bits[id];
+}
+
+}  // namespace
+
+std::size_t MemoizedResolver::IdsHash::operator()(const Ids& ids) const {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::uint32_t id : ids) h = (h ^ id) * 0x100000001b3ull;
+  return static_cast<std::size_t>(h ^ (h >> 29));
+}
+
+std::uint32_t MemoizedResolver::intern(const std::string& s) {
+  auto [it, inserted] =
+      ids_.try_emplace(s, static_cast<std::uint32_t>(ids_.size()));
+  return it->second;
+}
+
+void MemoizedResolver::canonical(const ResolveChoices& choices) {
+  entries_.clear();
+  for (const auto& [name, vc] : choices.versions) {
+    entries_.push_back({intern(name), kVersionKey, intern(vc.str())});
+  }
+  for (const auto& [name, vars] : choices.variants) {
+    const std::uint32_t id = intern(name);
+    for (const auto& [k, v] : vars) {
+      entries_.push_back({id, intern(k), intern(v)});
+    }
+  }
+  for (const auto& [virt, provider] : choices.providers) {
+    entries_.push_back({intern(virt), kProviderKey, intern(provider)});
+  }
+}
+
+MemoizedResolver::Ids MemoizedResolver::project(const Memo& memo) const {
+  Ids key;
+  for (const Entry& e : entries_) {
+    const bool read = e.key == kProviderKey ? has_bit(memo.virtuals, e.name)
+                                            : has_bit(memo.packages, e.name);
+    if (read) key.insert(key.end(), {e.name, e.key, e.value});
+  }
+  return key;
+}
+
+std::optional<Spec> MemoizedResolver::resolve_new(
+    const std::string& root, const ResolveChoices& choices) {
+  canonical(choices);
+  std::vector<Memo>& memos = memos_[root];
+  for (const Memo& memo : memos) {
+    if (memo.seen.count(project(memo)) > 0) {
+      ++hits_;
+      return std::nullopt;
+    }
+  }
+
+  ReadSet reads;
+  Spec out = resolver_.resolve(root, choices, &reads);
+  ++resolves_;
+  // Sized to the largest id in the set, so equal sets are equal vectors.
+  auto to_bits = [&](const std::vector<std::string>& names) {
+    std::vector<bool> bits;
+    for (const std::string& n : names) {
+      const std::uint32_t id = intern(n);
+      if (id >= bits.size()) bits.resize(id + 1);
+      bits[id] = true;
+    }
+    return bits;
+  };
+  Memo fresh;
+  fresh.packages = to_bits(reads.packages);
+  fresh.virtuals = to_bits(reads.virtuals);
+  auto same = std::find_if(memos.begin(), memos.end(), [&](const Memo& m) {
+    return m.packages == fresh.packages && m.virtuals == fresh.virtuals;
+  });
+  Memo& memo =
+      same != memos.end() ? *same : memos.emplace_back(std::move(fresh));
+  memo.seen.insert(project(memo));
+  return out;
 }
 
 }  // namespace splice::workload

@@ -59,6 +59,23 @@ splice("concretize", "--splice", "--trace", out("trace.json"),
        "--stats", out("stats.json"), "visit ^mpiabi", "laghos ^mpiabi")
 trace_check(out("trace.json"), out("stats.json"))
 
+# The set-up split on a public cache: workload_setup's child spans and the
+# cache generator's resolve and memo-hit counters.
+splice("concretize", "--splice", "--public", "600", "--stats",
+       out("public-stats.json"), "visit ^mpiabi")
+trace_check(out("public-stats.json"))
+public_stats = load(out("public-stats.json"))
+for span in ("tool/workload_setup", "workload/workload::radiuss_repo",
+             "workload/workload::cache_specs",
+             "concretize/Concretizer::add_reusable_all"):
+    count = public_stats["spans"].get(span, {}).get("count")
+    assert count == 1, f"stats: span {span} counted {count}, expected 1"
+counters = public_stats["metrics"]["counters"]
+for name in ("workload.cache_resolves", "workload.cache_memo_hits"):
+    assert counters.get(name, 0) > 0, f"stats lack a positive {name} counter"
+print(f"set-up split: {counters['workload.cache_resolves']} resolves, "
+      f"{counters['workload.cache_memo_hits']} memo hits")
+
 # Explain a spliced and an unsatisfiable request set.
 splice("explain", "--splice", "--json", out("explain-splice.json"),
        "visit ^mpiabi")

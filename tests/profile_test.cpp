@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -342,7 +343,7 @@ TEST(ConcretizerProfile, RadiussTopDirectiveHasSourceLocation) {
 TEST(ConcretizerProfile, RadiussNamesTheHashUniquenessConstraint) {
   // The pairwise hash-uniqueness constraint is the grounder's largest
   // encoding cost on reuse-heavy requests; the profile names it by text
-  // and points into the encoding fragment it comes from.
+  // and points at the concretizer.cpp line that writes it.
   repo::Repository repo = workload::radiuss_repo();
   ConcretizerOptions opts;
   opts.enable_splicing = true;
@@ -359,8 +360,23 @@ TEST(ConcretizerProfile, RadiussNamesTheHashUniquenessConstraint) {
                           });
   ASSERT_NE(row, rows.end());
   EXPECT_TRUE(row->loc_known);
-  EXPECT_GT(row->line, 0u);
+  EXPECT_EQ(row->file, "concretizer.cpp");
   EXPECT_GT(row->ground.join_candidates, 0u);
+
+  // The named line of the source really is that constraint.
+  std::string path = __FILE__;
+  path = path.substr(0, path.rfind("/tests/")) +
+         "/src/concretize/concretizer.cpp";
+  std::ifstream source(path);
+  ASSERT_TRUE(source) << path;
+  std::string line;
+  for (std::uint32_t n = 0; n < row->line; ++n) std::getline(source, line);
+  EXPECT_EQ(line,
+            R"(:- attr("hash", node(P), H1), attr("hash", node(P), H2), H1 < H2.)")
+      << path << ":" << row->line;
+  EXPECT_NE(report.profile.summary(0).find(
+                "(concretizer.cpp:" + std::to_string(row->line) + ")"),
+            std::string::npos);
 }
 
 TEST(ConcretizerProfile, UnsatRequestStillAttributed) {

@@ -296,14 +296,17 @@ struct Workload {
 };
 
 Workload::Workload(const Options& o) {
+  // The set-up split, under the span names splicebench reports it by.
+  flight::Span setup("workload_setup", "tool");
   {
-    flight::Span setup("workload_setup", "tool");
+    flight::Span span("workload::radiuss_repo", "workload");
     repo = workload::radiuss_repo(o.replicas);
-    if (!o.no_cache) {
-      cache = o.public_nodes > 0
-                  ? workload::public_cache_specs(repo, o.public_nodes)
-                  : workload::local_cache_specs(repo);
-    }
+  }
+  if (!o.no_cache) {
+    flight::Span span("workload::cache_specs", "workload");
+    cache = o.public_nodes > 0
+                ? workload::public_cache_specs(repo, o.public_nodes)
+                : workload::local_cache_specs(repo);
   }
   trace::Tracer::global().metrics().set_gauge(
       "workload.cache_specs",
@@ -314,7 +317,11 @@ Workload::Workload(const Options& o) {
   opts.enable_splicing = o.splice;
   opts.prune_reuse = !o.no_prune;
   concretizer.emplace(repo, opts);
-  concretizer->add_reusable_all(cache);
+  {
+    flight::Span span("Concretizer::add_reusable_all", "concretize");
+    concretizer->add_reusable_all(cache);
+  }
+  setup.end();
   std::printf("splice: %zu request(s), encoding=%s, splicing=%s, "
               "pruning=%s, cache=%zu node specs\n",
               o.requests.size(), o.direct ? "direct" : "indirect",
