@@ -181,55 +181,32 @@ void hash_body(Hasher& h, const std::vector<Literal>& body) {
   }
 }
 
-/// Key for deduplicating ground rule instances.  Built purely from interned
-/// term ids, so re-derivations of the same instance (e.g. via different
-/// semi-naive pivots or naive re-instantiation rounds) always collide.
-std::uint64_t instance_key(const Term& head, const std::vector<Literal>& body) {
-  Hasher h;
-  h.field_u64(head.valid() ? head.id() : 0xffffffffu);
-  hash_body(h, body);
-  return h.lo() ^ h.hi();
+bool same_lits(const std::vector<Literal>& a, const std::vector<Literal>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const Literal& x, const Literal& y) {
+                      return x.atom == y.atom && x.positive == y.positive;
+                    });
 }
 
-/// Open-addressing set of 64-bit keys (linear probing, power-of-two table).
-/// The grounder inserts one content key per ground instance that passes its
-/// comparisons — hundreds of thousands per resolve — and
-/// std::unordered_set's per-node allocation plus rehash chains show up as
-/// whole percents of ground time.  Key 0 is reserved as the empty slot
-/// marker (remapped; hashed keys are never biased toward 0).
-class U64Set {
- public:
-  /// Returns true if the key was newly inserted.
-  bool insert(std::uint64_t key) {
-    if (key == 0) key = 0x9e3779b97f4a7c15ULL;  // remap reserved empty marker
-    if ((count_ + 1) * 2 > slots_.size()) grow();
-    std::size_t mask = slots_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(key) & mask;
-    while (slots_[i] != 0) {
-      if (slots_[i] == key) return false;
-      i = (i + 1) & mask;
-    }
-    slots_[i] = key;
-    ++count_;
-    return true;
+/// Whether some substitution could make instances of patterns `a` and `b`
+/// equal, with the variables of the two renamed apart: only differing
+/// constants or functors at one position rule it out.  Substitution is
+/// purely structural (no arithmetic), so this is sound.
+bool may_unify(Term a, Term b) {
+  if (a == b) return true;
+  if (a.kind() == TermKind::Var || b.kind() == TermKind::Var) return true;
+  if (a.is_ground() && b.is_ground()) return false;  // interned: distinct
+  if (a.kind() != TermKind::Fun || b.kind() != TermKind::Fun ||
+      a.sig() != b.sig()) {
+    return false;
   }
-
- private:
-  void grow() {
-    std::vector<std::uint64_t> old = std::move(slots_);
-    slots_.assign(old.empty() ? 1024 : old.size() * 2, 0);
-    std::size_t mask = slots_.size() - 1;
-    for (std::uint64_t key : old) {
-      if (key == 0) continue;
-      std::size_t i = static_cast<std::size_t>(key) & mask;
-      while (slots_[i] != 0) i = (i + 1) & mask;
-      slots_[i] = key;
-    }
+  std::span<const Term> aa = a.args();
+  std::span<const Term> ba = b.args();
+  for (std::size_t i = 0; i < aa.size(); ++i) {
+    if (!may_unify(aa[i], ba[i])) return false;
   }
-
-  std::vector<std::uint64_t> slots_;
-  std::size_t count_ = 0;
-};
+  return true;
+}
 
 /// A fully instantiated (ground) normal rule or constraint awaiting
 /// negation resolution.
@@ -254,6 +231,7 @@ struct ChoiceInstance {
 /// fired, which also makes the optimized and reference paths agree.
 struct ElemInstance {
   std::size_t rule_index;
+  int elem;  // element position in the choice head
   Term atom;
   std::vector<Literal> body;  // the owning rule's body, rule-literal order
   std::vector<Literal> condition;
@@ -309,6 +287,7 @@ class Grounder {
           static_cast<std::int64_t>(stats.certain_atoms));
     m.add("ground.choices", static_cast<std::int64_t>(stats.choices));
     m.add("ground.iterations", static_cast<std::int64_t>(stats.iterations));
+    m.add("ground.dedup_probes", static_cast<std::int64_t>(dedup_probes_));
     if (stats.provenance_bytes > 0) {
       m.add("ground.provenance_bytes",
             static_cast<std::int64_t>(stats.provenance_bytes));
@@ -343,6 +322,9 @@ class Grounder {
     // every join over atoms below it, so later rounds only complete joins
     // holding an atom at or above it.
     std::uint32_t first_seen = 0;
+    // Whether instances pass the content dedup set; false once
+    // prove_unique() shows the join cannot produce one twice.
+    bool dedup = true;
   };
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
@@ -428,6 +410,114 @@ class Grounder {
         prepared_.push_back(std::move(pe));
       }
     }
+    prove_unique();
+  }
+
+  /// Clear PreparedRule::dedup where exact semi-naive evaluation already
+  /// proves each instance is produced once.  A ground instance is a
+  /// function of the atoms its join matched (its positive body *is* those
+  /// atoms), and the join completes each atom combination once, except
+  /// when a rule matches atoms it derived itself during its own round-one
+  /// pass: round two completes those combinations again.  So a rule skips
+  /// the set when
+  ///   * evaluation is semi-naive (the naive path re-instantiates every
+  ///     round and keeps the set for every instance),
+  ///   * it does not read a signature it derives (its head, or the element
+  ///     atom of an element pseudo-rule), and
+  ///   * for normal rules and constraints, whose keys carry no rule index,
+  ///     no other rule can produce the same instance (shared_shape_rules).
+  void prove_unique() {
+    std::vector<bool> shared;
+    if (opts_.semi_naive) shared = shared_shape_rules();
+    for (PreparedRule& pr : prepared_) {
+      const Rule& r = *pr.rule;
+      std::optional<SigId> derived;
+      if (pr.elem >= 0) {
+        derived = r.head.elements[static_cast<std::size_t>(pr.elem)].atom.sig();
+      } else if (r.head.kind == Head::Kind::Atom) {
+        derived = r.head.atom.sig();
+      }
+      bool self_feeding =
+          derived && std::find(pr.pos_sigs.begin(), pr.pos_sigs.end(),
+                               *derived) != pr.pos_sigs.end();
+      pr.dedup = !opts_.semi_naive || self_feeding ||
+                 (pr.elem < 0 && r.head.kind != Head::Kind::Choice &&
+                  shared[pr.rule_index]);
+      if (gprof_ && pr.dedup) gprof_->per_rule[pr.rule_index].dedup = true;
+    }
+  }
+
+  /// Source rules (by index) whose instances another normal rule or
+  /// constraint might duplicate.  Two rules can only produce the same
+  /// instance if they have one shape -- the same head signature (or both
+  /// headless), body length, and sign and signature at each body position
+  /// -- and no position where their patterns hold different constants or
+  /// functors (may_unify, variables renamed apart).  Conservative.  Fully
+  /// ground rules, most of what a package compiles to, collide only when
+  /// equal, so within a shape they are sorted, not compared pairwise.
+  std::vector<bool> shared_shape_rules() const {
+    const std::vector<Rule>& rules = program_.rules();
+    struct Shape {
+      std::vector<std::size_t> ground;
+      std::vector<std::size_t> open;  // rules with a variable
+    };
+    std::map<std::vector<std::uint32_t>, Shape> by_shape;
+    for (const PreparedRule& pr : prepared_) {
+      const Rule& r = *pr.rule;
+      if (pr.elem >= 0 || r.head.kind == Head::Kind::Choice) continue;
+      std::vector<std::uint32_t> shape;
+      shape.reserve(1 + 2 * r.body.size());
+      bool ground = r.head.kind == Head::Kind::None || r.head.atom.is_ground();
+      shape.push_back(r.head.kind == Head::Kind::Atom ? r.head.atom.sig() + 1
+                                                      : 0);
+      for (const Literal& l : r.body) {
+        shape.push_back(l.atom.sig());
+        shape.push_back(l.positive ? 1 : 0);
+        ground = ground && l.atom.is_ground();
+      }
+      Shape& group = by_shape[std::move(shape)];
+      (ground ? group.ground : group.open).push_back(pr.rule_index);
+    }
+    // Atoms in head-then-body order; None heads are the invalid Term.
+    auto atom_at = [&](std::size_t ri, std::size_t k) {
+      const Rule& r = rules[ri];
+      return k == 0 ? r.head.atom : r.body[k - 1].atom;
+    };
+    std::vector<bool> shared(rules.size(), false);
+    for (auto& [shape, group] : by_shape) {
+      const std::size_t natoms = 1 + (shape.size() - 1) / 2;
+      auto may_collide = [&](std::size_t a, std::size_t b) {
+        for (std::size_t k = 0; k < natoms; ++k) {
+          if (!may_unify(atom_at(a, k), atom_at(b, k))) return false;
+        }
+        return true;
+      };
+      for (std::size_t i = 0; i < group.open.size(); ++i) {
+        std::size_t a = group.open[i];
+        for (std::size_t j = i + 1; j < group.open.size(); ++j) {
+          std::size_t b = group.open[j];
+          if (may_collide(a, b)) shared[a] = shared[b] = true;
+        }
+        for (std::size_t b : group.ground) {
+          if (may_collide(a, b)) shared[a] = shared[b] = true;
+        }
+      }
+      auto less = [&](std::size_t a, std::size_t b) {
+        for (std::size_t k = 0; k < natoms; ++k) {
+          if (atom_at(a, k) != atom_at(b, k)) {
+            return atom_at(a, k).id() < atom_at(b, k).id();
+          }
+        }
+        return false;
+      };
+      std::sort(group.ground.begin(), group.ground.end(), less);
+      for (std::size_t i = 1; i < group.ground.size(); ++i) {
+        std::size_t a = group.ground[i - 1];
+        std::size_t b = group.ground[i];
+        if (!less(a, b)) shared[a] = shared[b] = true;
+      }
+    }
+    return shared;
   }
 
   static constexpr std::size_t kDerivedEstimate = std::size_t{1} << 30;
@@ -683,8 +773,7 @@ class Grounder {
     switch (r.head.kind) {
       case Head::Kind::Atom: {
         Term head = substitute(r.head.atom, b);
-        std::uint64_t key = instance_key(head, body);
-        if (!seen_instances_.insert(key)) return;
+        if (pr.dedup && !first_rule_instance(head, body)) return;
         if (gprof_) ++gprof_->per_rule[pr.rule_index].instantiations;
         if (store_.add(head)) {
           record_atom_origin(head, static_cast<std::uint32_t>(pr.rule_index),
@@ -695,19 +784,14 @@ class Grounder {
         break;
       }
       case Head::Kind::None: {
-        std::uint64_t key = instance_key(Term(), body);
-        if (!seen_instances_.insert(key)) return;
+        if (pr.dedup && !first_rule_instance(Term(), body)) return;
         if (gprof_) ++gprof_->per_rule[pr.rule_index].instantiations;
         instances_.push_back(Instance{&r, Term(), std::move(body)});
         record_instance_origin(inst_origin_, pr.rule_index, b);
         break;
       }
       case Head::Kind::Choice: {
-        Hasher h;
-        h.field_u64(0x43686f6963652e);  // tag: choice body
-        h.field_u64(pr.rule_index);
-        hash_body(h, body);
-        if (!seen_instances_.insert(h.lo() ^ h.hi())) return;
+        if (pr.dedup && !first_choice_instance(pr.rule_index, body)) return;
         if (gprof_) ++gprof_->per_rule[pr.rule_index].instantiations;
         choice_instances_.push_back(
             ChoiceInstance{&r, pr.rule_index, std::move(body)});
@@ -715,6 +799,57 @@ class Grounder {
         break;
       }
     }
+  }
+
+  // -- content dedup (rules without a uniqueness proof) ---------------------
+
+  /// Whether no equal normal-rule or constraint instance was recorded yet;
+  /// records this one, which the caller must then append to instances_.
+  bool first_rule_instance(Term head, const std::vector<Literal>& body) {
+    ++dedup_probes_;
+    Hasher h;
+    h.field_u64(head.valid() ? head.id() : 0xffffffffu);
+    hash_body(h, body);
+    return seen_rules_.insert(
+        h.lo() ^ h.hi(), static_cast<std::uint32_t>(instances_.size()),
+        [&](std::uint32_t j) {
+          const Instance& other = instances_[j];
+          return other.head == head && same_lits(other.body, body);
+        });
+  }
+
+  bool first_choice_instance(std::size_t rule_index,
+                             const std::vector<Literal>& body) {
+    ++dedup_probes_;
+    Hasher h;
+    h.field_u64(rule_index);
+    hash_body(h, body);
+    return seen_choices_.insert(
+        h.lo() ^ h.hi(), static_cast<std::uint32_t>(choice_instances_.size()),
+        [&](std::uint32_t j) {
+          const ChoiceInstance& other = choice_instances_[j];
+          return other.rule_index == rule_index &&
+                 same_lits(other.body, body);
+        });
+  }
+
+  bool first_elem_instance(const ElemInstance& e) {
+    ++dedup_probes_;
+    Hasher h;
+    h.field_u64(e.rule_index);
+    h.field_u64(static_cast<std::uint64_t>(e.elem));
+    h.field_u64(e.atom.id());
+    hash_body(h, e.body);
+    h.field_u64(0x7c);  // body | condition separator
+    hash_body(h, e.condition);
+    return seen_elems_.insert(
+        h.lo() ^ h.hi(), static_cast<std::uint32_t>(elem_instances_.size()),
+        [&](std::uint32_t j) {
+          const ElemInstance& other = elem_instances_[j];
+          return other.rule_index == e.rule_index && other.elem == e.elem &&
+                 other.atom == e.atom && same_lits(other.body, e.body) &&
+                 same_lits(other.condition, e.condition);
+        });
   }
 
   // -- provenance recording (no-ops unless record_provenance) ---------------
@@ -746,23 +881,15 @@ class Grounder {
     if (!atom.is_ground()) {
       throw AspError("choice element atom not ground: " + atom.str_repr());
     }
-    std::vector<Literal> body = ground_lits(r.body, pr.body_slot, b);
-    std::vector<Literal> cond = ground_lits(e.condition, pr.cond_slot, b);
-    Hasher h;
-    h.field_u64(0x456c656d2e);  // tag: choice element
-    h.field_u64(pr.rule_index);
-    h.field_u64(static_cast<std::uint64_t>(pr.elem));
-    h.field_u64(atom.id());
-    hash_body(h, body);
-    h.field_u64(0x7c);  // body | condition separator
-    hash_body(h, cond);
-    if (!seen_instances_.insert(h.lo() ^ h.hi())) return;
+    ElemInstance inst{pr.rule_index, pr.elem, atom,
+                      ground_lits(r.body, pr.body_slot, b),
+                      ground_lits(e.condition, pr.cond_slot, b)};
+    if (pr.dedup && !first_elem_instance(inst)) return;
     if (gprof_) ++gprof_->per_rule[pr.rule_index].instantiations;
     if (store_.add(atom)) {
       record_atom_origin(atom, static_cast<std::uint32_t>(pr.rule_index), &b);
     }
-    elem_instances_.push_back(
-        ElemInstance{pr.rule_index, atom, std::move(body), std::move(cond)});
+    elem_instances_.push_back(std::move(inst));
   }
 
   template <typename K>
@@ -968,7 +1095,11 @@ class Grounder {
   AtomStore store_;                           // membership == "possible"
   TermFlags certain_;
   std::vector<Term> certain_list_;
-  U64Set seen_instances_;
+  // Content dedup, one set per instance vector (see first_rule_instance).
+  KeyedIndexSet seen_rules_;
+  KeyedIndexSet seen_choices_;
+  KeyedIndexSet seen_elems_;
+  std::uint64_t dedup_probes_ = 0;
   std::vector<Instance> instances_;
   std::vector<ChoiceInstance> choice_instances_;
   std::vector<ElemInstance> elem_instances_;

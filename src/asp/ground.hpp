@@ -34,7 +34,17 @@
 //     newest atom appeared, or in round one, which each rule records as a
 //     store-size watermark (`first_seen`) that later rounds must reach
 //     above.  Only a rule that matched its own round-one output completes a
-//     combination twice; the content-level instance dedup drops the copy.
+//     combination twice.
+//   * dedup only where uniqueness is not proven.  A ground instance is a
+//     function of the atoms its join matched, so under exact semi-naive
+//     evaluation a rule that reads no signature it derives produces each
+//     instance once.  Such a rule skips the content dedup set unless another
+//     rule of its shape could produce the same instance (a conservative
+//     check with variables renamed apart; choice bodies and elements are
+//     keyed by their rule, so only normal rules and constraints need it).
+//     Instances that still pass the set are compared in full on a key hit,
+//     never dropped on the hash alone.  The naive reference path keeps the
+//     set for every instance.
 //
 // Ground bodies are assembled from the store atoms the join matched, and
 // the emission order is a pure function of the program: rules are emitted
@@ -145,6 +155,9 @@ struct GroundProfile {
     std::uint64_t emitted_rules = 0;     ///< ground rules emitted from here
     std::uint64_t emitted_choices = 0;   ///< ground choices emitted from here
     double seconds = 0;                  ///< wall time instantiating this rule
+    /// Instances still pass the content dedup set: the grounder could not
+    /// prove them unique (see the header comment).
+    bool dedup = false;
   };
   std::vector<RuleCost> per_rule;  ///< indexed by Program::rules() position
   std::uint64_t minimize_join_candidates = 0;  ///< #minimize condition joins

@@ -54,6 +54,7 @@ json::Value ground_cost_json(const Profile::GroundCost& g) {
   o["join_candidates"] = g.join_candidates;
   o["emitted"] = g.emitted;
   o["seconds"] = g.seconds;
+  o["dedup"] = g.dedup;
   return json::Value(std::move(o));
 }
 
@@ -168,7 +169,8 @@ std::string Profile::summary(std::size_t top) const {
              std::to_string(r.sat.participations) + " partic, ground: " +
              std::to_string(r.ground.instantiations) + " inst / " +
              std::to_string(r.ground.join_candidates) + " cand / " +
-             std::to_string(r.ground.seconds) + " s\n";
+             std::to_string(r.ground.seconds) + " s" +
+             (r.ground.dedup ? " / dedup" : "") + "\n";
     }
   };
   table("hot directives:", directives, top);
@@ -293,6 +295,7 @@ Profile aggregate_profile(const ProfileData& data, const Program& source) {
       gcost.join_candidates = rc.join_candidates;
       gcost.emitted = rc.emitted_rules + rc.emitted_choices;
       gcost.seconds = rc.seconds;
+      gcost.dedup = rc.dedup;
     }
     if (cost_empty(scost) && gcost.instantiations == 0 &&
         gcost.join_candidates == 0 && gcost.emitted == 0 &&
@@ -316,6 +319,7 @@ Profile aggregate_profile(const ProfileData& data, const Program& source) {
     row.ground.join_candidates += gcost.join_candidates;
     row.ground.emitted += gcost.emitted;
     row.ground.seconds += gcost.seconds;
+    row.ground.dedup = row.ground.dedup || gcost.dedup;
   }
   for (const auto& [pred, cost] : pred_sat) {
     add_cost(merged_row(by_pred, pred).sat, cost);
@@ -348,6 +352,7 @@ Profile aggregate_profile(const ProfileData& data, const Program& source) {
     encoding_ground.join_candidates += row.ground.join_candidates;
     encoding_ground.emitted += row.ground.emitted;
     encoding_ground.seconds += row.ground.seconds;
+    encoding_ground.dedup = encoding_ground.dedup || row.ground.dedup;
   }
   bucket("encoding-internal", encoding_sat, encoding_ground);
   bucket("fact", fact_sat);

@@ -79,6 +79,9 @@ struct Profile {
     std::uint64_t join_candidates = 0;
     std::uint64_t emitted = 0;  ///< ground rules + choices emitted
     double seconds = 0;
+    /// Some source rule behind the row still sends its instances through
+    /// the grounder's dedup set (GroundProfile::RuleCost::dedup).
+    bool dedup = false;
   };
 
   /// One cost table row: a package directive (name == Rule::note), a

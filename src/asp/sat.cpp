@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+#include <stdexcept>
 
 namespace splice::asp::sat {
 
@@ -78,33 +80,41 @@ Var Solver::new_var() {
   return v;
 }
 
-bool Solver::add_clause(std::vector<Lit> lits, Origin origin) {
+bool Solver::add_clause(std::span<const Lit> lits, Origin origin) {
   if (unsat_) return false;
-  // Simplify against the level-0 assignment.
-  std::sort(lits.begin(), lits.end());
-  lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
-  std::vector<Lit> out;
-  for (Lit l : lits) {
-    if (std::find(out.begin(), out.end(), negate(l)) != out.end()) {
-      return true;  // tautology
-    }
+  // Simplify against the level-0 assignment, in place at the arena's end:
+  // kept literals are compacted to the front of the copy.
+  const std::size_t begin = arena_.size();
+  arena_.insert(arena_.end(), lits.begin(), lits.end());
+  const auto first = arena_.begin() + static_cast<std::ptrdiff_t>(begin);
+  std::sort(first, arena_.end());
+  const auto last = std::unique(first, arena_.end());
+  std::size_t kept = 0;
+  for (auto it = first; it != last; ++it) {
+    Lit l = *it;
+    // Sorted: a kept negation of l (l ^ 1) can only be the last kept one.
     Value v = value(l);
-    if (v == Value::True && level_[var_of(l)] == 0) return true;  // satisfied
-    if (v == Value::False && level_[var_of(l)] == 0) continue;    // falsified
-    out.push_back(l);
+    if ((kept > 0 && first[static_cast<std::ptrdiff_t>(kept - 1)] ==
+                         negate(l)) ||                          // tautology
+        (v == Value::True && level_[var_of(l)] == 0)) {         // satisfied
+      arena_.resize(begin);
+      return true;
+    }
+    if (v == Value::False && level_[var_of(l)] == 0) continue;  // falsified
+    first[static_cast<std::ptrdiff_t>(kept++)] = l;
   }
-  if (out.empty()) {
-    unsat_ = true;
-    return false;
-  }
-  if (out.size() == 1) {
-    if (!enqueue(out[0], kNoReason) || propagate() != kNoReason) {
+  if (kept <= 1) {
+    const Lit unit = kept == 1 ? *first : 0;
+    arena_.resize(begin);
+    if (kept == 0 || !enqueue(unit, kNoReason) ||
+        propagate() != kNoReason) {
       unsat_ = true;
       return false;
     }
     return true;
   }
-  attach_clause(std::move(out), false, /*watch=*/true, origin);
+  arena_.resize(begin + kept);
+  attach_tail(begin, false, /*watch=*/true, origin);
   return true;
 }
 
@@ -151,21 +161,34 @@ bool Solver::add_pb_le(std::vector<std::pair<Lit, std::int64_t>> terms,
   return true;
 }
 
-Solver::ClauseRef Solver::attach_clause(std::vector<Lit> lits, bool learned,
-                                        bool watch, Origin origin) {
-  assert(lits.size() >= 2 || !watch);
+Solver::ClauseRef Solver::attach_clause(std::span<const Lit> lits,
+                                        bool learned, bool watch,
+                                        Origin origin) {
+  const std::size_t begin = arena_.size();
+  arena_.insert(arena_.end(), lits.begin(), lits.end());
+  return attach_tail(begin, learned, watch, origin);
+}
+
+/// Make the arena's tail, from `begin` on, a new clause.
+Solver::ClauseRef Solver::attach_tail(std::size_t begin, bool learned,
+                                      bool watch, Origin origin) {
+  if (arena_.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("sat: clause arena exceeds 2^32 literals");
+  }
   auto ref = static_cast<ClauseRef>(clauses_.size());
   Clause c;
-  c.lits = std::move(lits);
+  c.begin = static_cast<std::uint32_t>(begin);
+  c.size = static_cast<std::uint32_t>(arena_.size() - begin);
+  assert(c.size >= 2 || !watch);
   c.learned = learned;
   c.origin = origin;
   c.activity = var_inc_;
   c.dead = !watch;  // unwatched clauses exist only as analyze() inputs
   if (watch) {
-    watches_[c.lits[0]].push_back(ref);
-    watches_[c.lits[1]].push_back(ref);
+    watches_[arena_[begin]].push_back(ref);
+    watches_[arena_[begin + 1]].push_back(ref);
   }
-  clauses_.push_back(std::move(c));
+  clauses_.push_back(c);
   if (learned) ++stats_.learned;
   return ref;
 }
@@ -205,26 +228,27 @@ Solver::ClauseRef Solver::propagate() {
     ClauseRef confl = kNoReason;
     while (i < wl.size()) {
       ClauseRef ref = wl[i++];
-      Clause& c = clauses_[ref];
+      const Clause& c = clauses_[ref];
       if (c.dead) continue;
-      if (c.lits[0] == false_lit) std::swap(c.lits[0], c.lits[1]);
-      assert(c.lits[1] == false_lit);
-      if (value(c.lits[0]) == Value::True) {
+      Lit* cl = lits(c);
+      if (cl[0] == false_lit) std::swap(cl[0], cl[1]);
+      assert(cl[1] == false_lit);
+      if (value(cl[0]) == Value::True) {
         wl[j++] = ref;
         continue;
       }
       bool moved = false;
-      for (std::size_t k = 2; k < c.lits.size(); ++k) {
-        if (value(c.lits[k]) != Value::False) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[c.lits[1]].push_back(ref);
+      for (std::size_t k = 2; k < c.size; ++k) {
+        if (value(cl[k]) != Value::False) {
+          std::swap(cl[1], cl[k]);
+          watches_[cl[1]].push_back(ref);
           moved = true;
           break;
         }
       }
       if (moved) continue;
       wl[j++] = ref;
-      if (!enqueue(c.lits[0], ref)) {
+      if (!enqueue(cl[0], ref)) {
         confl = ref;
         break;
       }
@@ -242,42 +266,57 @@ Solver::ClauseRef Solver::propagate() {
   return kNoReason;
 }
 
-std::vector<Lit> Solver::pb_conflict_clause(const PbConstraint& pb) const {
-  std::vector<Lit> out;
+/// The negations of the constraint's terms true above level 0, in term
+/// order: the clause the constraint's current overflow rests on.
+void Solver::pb_conflict_lits(const PbConstraint& pb,
+                              std::vector<Lit>& out) const {
+  out.clear();
   for (auto [l, w] : pb.terms) {
     if (value(l) == Value::True && level_[var_of(l)] > 0) {
       out.push_back(negate(l));
     }
   }
-  return out;
 }
 
 Solver::ClauseRef Solver::propagate_pb(Lit p) {
   for (PbWatch w : pb_watches_[p]) {
     PbConstraint& pb = pbs_[w.pb];
     if (pb.sum > pb.bound) {
-      std::vector<Lit> confl = pb_conflict_clause(pb);
-      if (confl.empty()) {
+      pb_conflict_lits(pb, pb_base_);
+      if (pb_base_.empty()) {
         // Violation entirely from level-0 assignments: the instance is
         // unsatisfiable outright.
         unsat_ = true;
-        return attach_clause({p, negate(p)}, true, /*watch=*/false, pb.origin);
+        const Lit both[] = {p, negate(p)};
+        return attach_clause(both, true, /*watch=*/false, pb.origin);
       }
       // All literals of the conflict clause are currently false; it is
       // entailed by the PB constraint and handed to analyze() unwatched.
-      return attach_clause(std::move(confl), true, /*watch=*/false, pb.origin);
+      return attach_clause(pb_base_, true, /*watch=*/false, pb.origin);
     }
     // Strengthen: any unassigned term that would overflow must be false.
+    // Every forced term's reason is its own negation followed by the same
+    // base, so the base is collected once.  Forcing a term false changes
+    // the true terms only if the constraint also holds the opposite
+    // literal, and then pb.sum moves: rebuild the base when it does.
     std::int64_t slack = pb.bound - pb.sum;
     if (slack < pb.max_weight) {
+      bool have_base = false;
+      std::int64_t base_sum = 0;
       for (auto [l, tw] : pb.terms) {
         if (tw > slack && value(l) == Value::Undef) {
-          std::vector<Lit> reason = pb_conflict_clause(pb);
-          reason.insert(reason.begin(), negate(l));
+          if (!have_base || pb.sum != base_sum) {
+            pb_conflict_lits(pb, pb_base_);
+            have_base = true;
+            base_sum = pb.sum;
+          }
           ClauseRef ref = kNoReason;
-          if (reason.size() >= 2) {
-            ref = attach_clause(std::move(reason), true, /*watch=*/true,
-                                pb.origin);
+          if (!pb_base_.empty()) {
+            pb_reason_.clear();
+            pb_reason_.push_back(negate(l));
+            pb_reason_.insert(pb_reason_.end(), pb_base_.begin(),
+                              pb_base_.end());
+            ref = attach_clause(pb_reason_, true, /*watch=*/true, pb.origin);
           }
           enqueue(negate(l), ref);
         }
@@ -303,6 +342,7 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& learnt,
   while (true) {
     assert(reason_ref != kNoReason);
     Clause& c = clauses_[reason_ref];
+    const Lit* cl = lits(c);
     if (c.learned) c.activity += var_inc_;
     if (profile_) {
       // Every clause resolved on the 1UIP chain participates in the
@@ -315,8 +355,8 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& learnt,
       }
     }
     std::size_t start = p_valid ? 1 : 0;
-    for (std::size_t k = start; k < c.lits.size(); ++k) {
-      Lit q = c.lits[k];
+    for (std::size_t k = start; k < c.size; ++k) {
+      Lit q = cl[k];
       Var v = var_of(q);
       if (!seen_[v] && level_[v] > 0) {
         seen_[v] = true;
@@ -338,10 +378,11 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& learnt,
     // Reason clauses keep their implied literal at position 0; restore that
     // invariant defensively in case watch maintenance reordered it.
     if (reason_ref != kNoReason) {
-      Clause& rc = clauses_[reason_ref];
-      for (std::size_t k = 0; k < rc.lits.size(); ++k) {
-        if (rc.lits[k] == p) {
-          std::swap(rc.lits[0], rc.lits[k]);
+      const Clause& rc = clauses_[reason_ref];
+      Lit* rl = lits(rc);
+      for (std::size_t k = 0; k < rc.size; ++k) {
+        if (rl[k] == p) {
+          std::swap(rl[0], rl[k]);
           break;
         }
       }
@@ -404,7 +445,7 @@ void Solver::reduce_db() {
   // Called at level 0 only.  Keep the more active half of learned clauses.
   std::vector<ClauseRef> learned;
   for (ClauseRef i = 0; i < clauses_.size(); ++i) {
-    if (clauses_[i].learned && !clauses_[i].dead && clauses_[i].lits.size() > 2) {
+    if (clauses_[i].learned && !clauses_[i].dead && clauses_[i].size > 2) {
       learned.push_back(i);
     }
   }
@@ -419,10 +460,10 @@ void Solver::reduce_db() {
   }
   for (auto& wl : watches_) wl.clear();
   for (ClauseRef i = 0; i < clauses_.size(); ++i) {
-    Clause& c = clauses_[i];
+    const Clause& c = clauses_[i];
     if (c.dead) continue;
-    watches_[c.lits[0]].push_back(i);
-    watches_[c.lits[1]].push_back(i);
+    watches_[arena_[c.begin]].push_back(i);
+    watches_[arena_[c.begin + 1]].push_back(i);
   }
   num_learned_limit_ += num_learned_limit_ / 2;
 }
@@ -471,8 +512,8 @@ void Solver::analyze_final(Lit p) {
       if (assumption_mark_[x]) final_core_.push_back(trail_[i]);
     } else {
       const Clause& c = clauses_[reason_[x]];
-      for (Lit q : c.lits) {
-        Var v = var_of(q);
+      for (std::size_t k = 0; k < c.size; ++k) {
+        Var v = var_of(arena_[c.begin + k]);
         if (v != x && level_[v] > 0) seen_[v] = true;
       }
     }
@@ -526,9 +567,8 @@ Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
           return Result::Unsat;
         }
       } else {
-        ClauseRef ref =
-            attach_clause(std::move(learnt), true, /*watch=*/true, rep);
-        if (!enqueue(clauses_[ref].lits[0], ref)) {
+        ClauseRef ref = attach_clause(learnt, true, /*watch=*/true, rep);
+        if (!enqueue(arena_[clauses_[ref].begin], ref)) {
           unsat_ = true;
           return Result::Unsat;
         }

@@ -12,11 +12,20 @@
 // calls (only at decision level 0, which solve() restores on return); the
 // optimization driver uses this to tighten objective bounds, and the ASP
 // driver to add loop nogoods from unfounded-set checks.
+//
+// Clause storage: the literals of every clause, original and learnt, live
+// in one arena vector; a clause is an (offset, size) slice of it plus its
+// bookkeeping.  add_clause copies the input to the arena's end and
+// simplifies it there, so adding a clause allocates only when the arena
+// grows (geometrically, from what the input needs).  Literals of deleted
+// learnt clauses stay in the arena: reduce_db only marks clauses dead.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/support/json.hpp"
@@ -96,7 +105,12 @@ class Solver {
   /// Add a clause (disjunction).  Returns false if the solver became
   /// trivially UNSAT (empty clause / conflicting units at level 0).
   /// `origin` tags the clause for profiling; kNoOrigin leaves it untagged.
-  bool add_clause(std::vector<Lit> lits, Origin origin = kNoOrigin);
+  bool add_clause(std::span<const Lit> lits, Origin origin = kNoOrigin);
+  bool add_clause(std::initializer_list<Lit> lits,
+                  Origin origin = kNoOrigin) {
+    return add_clause(std::span<const Lit>(lits.begin(), lits.size()),
+                      origin);
+  }
 
   /// Add a constraint sum{ weight[i] : lits[i] true } <= bound.
   /// Weights must be positive.  Conflict and strengthening clauses the
@@ -159,8 +173,10 @@ class Solver {
   using ClauseRef = std::uint32_t;
   static constexpr ClauseRef kNoReason = 0xffffffffu;
 
+  /// Literals arena_[begin, begin + size).
   struct Clause {
-    std::vector<Lit> lits;
+    std::uint32_t begin = 0;
+    std::uint32_t size = 0;
     double activity = 0;
     Origin origin = kNoOrigin;  // profiling tag; learnt clauses inherit a
                                 // representative ancestor origin
@@ -199,9 +215,12 @@ class Solver {
   void decay_activity();
   Lit pick_branch();
   void reduce_db();
-  ClauseRef attach_clause(std::vector<Lit> lits, bool learned, bool watch,
+  Lit* lits(const Clause& c) { return arena_.data() + c.begin; }
+  ClauseRef attach_clause(std::span<const Lit> lits, bool learned, bool watch,
                           Origin origin = kNoOrigin);
-  std::vector<Lit> pb_conflict_clause(const PbConstraint& pb) const;
+  ClauseRef attach_tail(std::size_t begin, bool learned, bool watch,
+                        Origin origin);
+  void pb_conflict_lits(const PbConstraint& pb, std::vector<Lit>& out) const;
   SatProfile::OriginCost& origin_cost(Origin o);
 
   // heap of variables ordered by activity
@@ -212,6 +231,7 @@ class Solver {
   bool heap_empty() const { return heap_.empty(); }
 
   std::vector<Clause> clauses_;
+  std::vector<Lit> arena_;  // every clause's literals (see Clause)
   std::vector<std::vector<ClauseRef>> watches_;  // indexed by falsified literal
   std::vector<std::vector<PbWatch>> pb_watches_;  // indexed by true literal
   std::vector<PbConstraint> pbs_;
@@ -245,6 +265,11 @@ class Solver {
   // current 1UIP chain.
   std::unique_ptr<SatProfile> profile_;
   std::vector<Origin> ancestry_;
+
+  // propagate_pb scratch: the negated true terms of the constraint being
+  // propagated, and one reason clause built on them.
+  std::vector<Lit> pb_base_;
+  std::vector<Lit> pb_reason_;
 };
 
 /// Deletion-based minimization of a failed-assumption core: repeatedly

@@ -292,7 +292,7 @@ std::vector<Model> enumerate_models(const GroundProgram& gp, std::size_t limit) 
       block.push_back(tr.atom_lit(a, !value));
     }
     models.push_back(std::move(m));
-    if (block.empty() || !tr.solver().add_clause(std::move(block))) break;
+    if (block.empty() || !tr.solver().add_clause(block)) break;
   }
   return models;
 }

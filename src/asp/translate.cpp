@@ -15,13 +15,13 @@ Translation::Translation(const GroundProgram& gp, bool guard_constraints,
 }
 
 /// Define `v <-> conjunction(lits)`.
-void Translation::define_and(Var v, const std::vector<Lit>& lits) {
-  std::vector<Lit> back{sat::mk_lit(v, true)};
+void Translation::define_and(Var v, std::span<const Lit> lits) {
+  clause_.assign(1, sat::mk_lit(v, true));
   for (Lit l : lits) {
     solver_->add_clause({sat::mk_lit(v, false), l}, cur_origin_);
-    back.push_back(sat::negate(l));
+    clause_.push_back(sat::negate(l));
   }
-  solver_->add_clause(std::move(back), cur_origin_);
+  solver_->add_clause(clause_, cur_origin_);
 }
 
 Lit Translation::new_guard(GuardTarget target) {
@@ -70,17 +70,17 @@ void Translation::build() {
     if (!r.has_head) {
       // Integrity constraint: not all body literals may hold.  In guarded
       // mode the clause carries !g, so it binds only while g is assumed.
-      std::vector<Lit> clause;
+      clause_.clear();
       if (guard_constraints_) {
-        clause.push_back(sat::negate(
+        clause_.push_back(sat::negate(
             new_guard({GuardTarget::Kind::Constraint, ri})));
       }
-      for (const GLit& l : r.body) clause.push_back(glit({l.atom, !l.positive}));
-      if (clause.empty()) {
+      for (const GLit& l : r.body) clause_.push_back(glit({l.atom, !l.positive}));
+      if (clause_.empty()) {
         // ":- ." style absurdity; force UNSAT.
         solver_->add_clause({sat::mk_lit(true_var_, false)}, internal_origin);
       } else {
-        solver_->add_clause(std::move(clause), cur_origin_);
+        solver_->add_clause(clause_, cur_origin_);
       }
       body_lit_[ri] = sat::mk_lit(true_var_, true);  // unused
       continue;
@@ -107,10 +107,10 @@ void Translation::build() {
       if (e.condition.empty()) {
         elig = b;
       } else {
-        std::vector<Lit> conj{b};
-        for (const GLit& l : e.condition) conj.push_back(glit(l));
+        conj_.assign(1, b);
+        for (const GLit& l : e.condition) conj_.push_back(glit(l));
         Var ev = solver_->new_var();
-        define_and(ev, conj);
+        define_and(ev, conj_);
         elig = sat::mk_lit(ev, true);
       }
       supports_[e.atom].push_back(elig);
@@ -124,7 +124,8 @@ void Translation::build() {
       choice_supports_[e.atom].push_back({elig, std::move(deps)});
       // Count literal: atom AND eligible.
       Var cv = solver_->new_var();
-      define_and(cv, {atom_lit(e.atom, true), elig});
+      const Lit count_conj[] = {atom_lit(e.atom, true), elig};
+      define_and(cv, count_conj);
       counts.push_back(sat::mk_lit(cv, true));
     }
     auto k = static_cast<std::int64_t>(counts.size());
@@ -149,14 +150,14 @@ void Translation::build() {
     }
     if (c.lower && *c.lower > 0) {
       if (*c.lower == 1) {
-        std::vector<Lit> clause;
+        clause_.clear();
         if (guard_constraints_) {
-          clause.push_back(sat::negate(
+          clause_.push_back(sat::negate(
               new_guard({GuardTarget::Kind::ChoiceLower, ci})));
         }
-        clause.push_back(sat::negate(b));
-        for (Lit cl : counts) clause.push_back(cl);
-        solver_->add_clause(std::move(clause), cur_origin_);
+        clause_.push_back(sat::negate(b));
+        for (Lit cl : counts) clause_.push_back(cl);
+        solver_->add_clause(clause_, cur_origin_);
       } else {
         // sum(!count) + lower*body <= k; guarded adds lower*g on the left
         // and lower on the right, so dropping the guard slackens the bound
@@ -181,9 +182,9 @@ void Translation::build() {
   for (AtomId a = 0; a < gp_.num_atoms(); ++a) {
     if (is_fact[a]) continue;
     if (origins_) cur_origin_ = tag(ClauseOriginMap::Kind::Completion, a);
-    std::vector<Lit> clause{atom_lit(a, false)};
-    for (Lit s : supports_[a]) clause.push_back(s);
-    solver_->add_clause(std::move(clause), cur_origin_);
+    clause_.assign(1, atom_lit(a, false));
+    for (Lit s : supports_[a]) clause_.push_back(s);
+    solver_->add_clause(clause_, cur_origin_);
   }
 
   // Minimize indicators: m true whenever any condition conjunction holds.
@@ -196,9 +197,9 @@ void Translation::build() {
     Var m = solver_->new_var();
     min_var_[i] = m;
     for (const auto& cond : gp_.minimize[i].conditions) {
-      std::vector<Lit> clause{sat::mk_lit(m, true)};
-      for (const GLit& l : cond) clause.push_back(glit({l.atom, !l.positive}));
-      solver_->add_clause(std::move(clause), cur_origin_);
+      clause_.assign(1, sat::mk_lit(m, true));
+      for (const GLit& l : cond) clause_.push_back(glit({l.atom, !l.positive}));
+      solver_->add_clause(clause_, cur_origin_);
     }
   }
   cur_origin_ = sat::kNoOrigin;
@@ -327,10 +328,9 @@ Lit Translation::make_body(const std::vector<GLit>& body) {
   if (body.empty()) return sat::mk_lit(true_var_, true);
   if (body.size() == 1) return glit(body[0]);
   Var bv = solver_->new_var();
-  std::vector<Lit> lits;
-  lits.reserve(body.size());
-  for (const GLit& l : body) lits.push_back(glit(l));
-  define_and(bv, lits);
+  conj_.clear();
+  for (const GLit& l : body) conj_.push_back(glit(l));
+  define_and(bv, conj_);
   return sat::mk_lit(bv, true);
 }
 
@@ -432,7 +432,7 @@ sat::Solver::Result solve_stable(Translation& tr,
     }
     for (auto& ng : nogoods) {
       ++stats.loop_nogoods;
-      tr.solver().add_clause(std::move(ng), tr.loop_nogood_origin());
+      tr.solver().add_clause(ng, tr.loop_nogood_origin());
     }
     if (emit) {
       SolveEvent ev;

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -102,7 +103,7 @@ class Translation {
     return solver_->model_value(sat::var_of(l)) == sat::is_pos(l);
   }
 
-  void define_and(sat::Var v, const std::vector<sat::Lit>& lits);
+  void define_and(sat::Var v, std::span<const sat::Lit> lits);
   void build();
   sat::Lit make_body(const std::vector<GLit>& body);
   sat::Lit new_guard(GuardTarget target);
@@ -147,6 +148,12 @@ class Translation {
   std::vector<GuardTarget> guard_targets_;
   std::vector<bool> scc_nontrivial_;
   bool tight_ = true;
+
+  // build() scratch, reused for every clause so that adding one allocates
+  // nothing: clause_ holds the clause being added, conj_ a conjunction
+  // define_and() is about to define (define_and itself fills clause_).
+  std::vector<sat::Lit> clause_;
+  std::vector<sat::Lit> conj_;
 };
 
 using SolveEventFn = std::function<void(SolveEvent)>;

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,7 +88,11 @@ std::vector<std::string> canonical(const GroundProgram& gp) {
 /// normal/choice/constraint rules with negation and comparisons, cardinality
 /// bounds, and #minimize statements.  Safety holds by construction: head,
 /// negative, and comparison variables are drawn from the positive body's
-/// variables.
+/// variables.  Both sides of the grounder's uniqueness proof (which
+/// instances may skip the dedup set) get exercised: after the base program,
+/// some programs gain a copy of one of their rules with its variables
+/// renamed apart (sometimes with one constant changed) and some gain a rule
+/// that reads the predicate it derives.
 class ProgramGen {
  public:
   explicit ProgramGen(unsigned seed) : rng_(seed) {}
@@ -107,6 +112,8 @@ class ProgramGen {
     for (int i = 0; i < nrules; ++i) add_random_rule(p);
     int nmin = irand(0, 2);
     for (int i = 0; i < nmin; ++i) add_random_minimize(p);
+    if (chance(40)) add_shape_twin(p);
+    if (chance(40)) add_self_feeding_rule(p);
     return p;
   }
 
@@ -211,6 +218,83 @@ class ProgramGen {
       if (r.head.lower && r.head.upper && *r.head.lower > *r.head.upper) {
         std::swap(*r.head.lower, *r.head.upper);
       }
+    }
+    p.add_rule(std::move(r));
+  }
+
+  /// `t` with every variable V<i> renamed to W<i>.
+  static Term renamed(Term t) {
+    if (t.kind() == TermKind::Var) {
+      return Term::var("W" + std::string(t.name().substr(1)));
+    }
+    if (t.kind() != TermKind::Fun || t.is_ground()) return t;
+    std::vector<Term> args;
+    for (Term a : t.args()) args.push_back(renamed(a));
+    return Term::fun(t.name(), args);
+  }
+
+  static void rename_lits(std::vector<Literal>& lits) {
+    for (Literal& l : lits) l.atom = renamed(l.atom);
+  }
+
+  /// A copy of a random rule, variables renamed apart: every instance of
+  /// one is an instance of the other.  Half the time one body constant is
+  /// changed, which may or may not leave the two able to collide.
+  void add_shape_twin(Program& p) {
+    const std::vector<Rule>& rules = p.rules();
+    std::vector<std::size_t> candidates;
+    for (std::size_t i = 0; i < rules.size(); ++i) {
+      if (!rules[i].body.empty()) candidates.push_back(i);
+    }
+    if (candidates.empty()) return;
+    Rule twin = rules[candidates[static_cast<std::size_t>(
+        irand(0, static_cast<int>(candidates.size()) - 1))]];
+    twin.head.atom = twin.head.atom.valid() ? renamed(twin.head.atom)
+                                            : twin.head.atom;
+    for (ChoiceElement& e : twin.head.elements) {
+      e.atom = renamed(e.atom);
+      rename_lits(e.condition);
+    }
+    rename_lits(twin.body);
+    for (Comparison& c : twin.comparisons) {
+      c.lhs = renamed(c.lhs);
+      c.rhs = renamed(c.rhs);
+    }
+    if (chance(50)) {
+      for (Literal& l : twin.body) {
+        std::span<const Term> args = l.atom.args();
+        auto it = std::find_if(args.begin(), args.end(),
+                               [](Term a) { return a.is_ground(); });
+        if (it == args.end()) continue;
+        std::vector<Term> changed(args.begin(), args.end());
+        changed[static_cast<std::size_t>(it - args.begin())] =
+            constant(irand(0, 3));
+        l.atom = Term::fun(l.atom.name(), changed);
+        break;
+      }
+    }
+    p.add_rule(std::move(twin));
+  }
+
+  /// A rule whose body reads the predicate it derives: a normal rule
+  /// (transitive step) or a choice whose element atom feeds its own body.
+  void add_self_feeding_rule(Program& p) {
+    Rule r;
+    if (chance(50)) {
+      // p1(V0, V2) :- p1(V0, V1), e1(V1, V2).
+      r.head.kind = Head::Kind::Atom;
+      r.head.atom = Term::fun("p1", {variable(0), variable(2)});
+      r.body.push_back({Term::fun("p1", {variable(0), variable(1)}), true});
+      r.body.push_back({Term::fun("e1", {variable(1), variable(2)}), true});
+    } else {
+      // { p0(V2) : e1(V1, V2) } <= 1 :- p0(V1).
+      r.head.kind = Head::Kind::Choice;
+      ChoiceElement e;
+      e.atom = Term::fun("p0", {variable(2)});
+      e.condition.push_back({Term::fun("e1", {variable(1), variable(2)}), true});
+      r.head.elements.push_back(std::move(e));
+      r.head.upper = 1;
+      r.body.push_back({Term::fun("p0", {variable(1)}), true});
     }
     p.add_rule(std::move(r));
   }
@@ -336,6 +420,32 @@ TEST_P(DifferentialTest, OptimizedMatchesReference) {
 // 250 seeded cases (the harness requirement is >= 200).
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
                          ::testing::Range(0u, 250u));
+
+// The seeds reach both sides of the uniqueness proof: programs where some
+// rule must keep the dedup set (a shape twin or a self-feeding rule) and
+// programs with rules proven unique, each counted where the rule produced
+// at least one instance.
+TEST(DifferentialCoverage, SeedsExerciseBothSidesOfTheUniquenessProof) {
+  int with_dedup = 0;
+  int with_unique = 0;
+  for (unsigned seed = 0; seed < 250; ++seed) {
+    GroundOptions opts;
+    opts.profile = true;
+    GroundProgram gp = ground(ProgramGen(seed).generate(), opts);
+    bool dedup = false;
+    bool unique = false;
+    for (const GroundProfile::RuleCost& rc : gp.profile->per_rule) {
+      if (rc.instantiations == 0) continue;
+      (rc.dedup ? dedup : unique) = true;
+    }
+    with_dedup += dedup ? 1 : 0;
+    with_unique += unique ? 1 : 0;
+  }
+  // 51 and 111 of the 250 programs when this was written; most of the
+  // rest instantiate nothing at all.
+  EXPECT_GE(with_dedup, 40);
+  EXPECT_GE(with_unique, 90);
+}
 
 // ---- each optimization gated individually ----------------------------------
 

@@ -8,6 +8,8 @@
 
 #include "src/asp/ground.hpp"
 #include "src/asp/parser.hpp"
+#include "src/support/flight.hpp"
+#include "src/support/trace.hpp"
 
 namespace splice::asp {
 namespace {
@@ -271,6 +273,96 @@ TEST(Ground, SelfFeedingRecursionMatchesReferenceWithoutDuplicates) {
   ASSERT_NE(gp.profile, nullptr);
   EXPECT_EQ(gp.profile->per_rule[2].instantiations, 3u);
   EXPECT_EQ(gp.stats.iterations, 2u);
+  // Only the rule that reads what it derives keeps the dedup set.
+  EXPECT_FALSE(gp.profile->per_rule[1].dedup);
+  EXPECT_TRUE(gp.profile->per_rule[2].dedup);
+}
+
+// ---- uniqueness proof: which instances skip the dedup set -----------------
+
+/// The ground.dedup_probes count one grounding of `p` records: the
+/// instances that went through the content dedup set.
+std::int64_t dedup_probes(const Program& p, const GroundOptions& opts) {
+  flight::Recorder::global().set_enabled(true);
+  trace::MetricsRegistry& m = trace::Tracer::global().metrics();
+  const std::int64_t before = m.counter("ground.dedup_probes");
+  ground(p, opts);
+  return m.counter("ground.dedup_probes") - before;
+}
+
+TEST(Ground, SameShapeRulesEmitASharedInstanceOnce) {
+  // Each pair is one rule written twice, with its variables renamed or,
+  // for the ground pair, verbatim: every instance of one is an instance of
+  // the other, and only the dedup set can tell.  All six rules must keep
+  // it; the last rule shares the ground pair's shape but not its
+  // constants, so it cannot collide with them.
+  Program p = parse_program(R"(
+    { p(a) ; p(b) ; r(a) }.
+    q(X) :- p(X), not r(X).
+    q(Y) :- p(Y), not r(Y).
+    :- q(X), p(X).
+    :- q(Z), p(Z).
+    s(a) :- p(a).
+    s(a) :- p(a).
+    s(b) :- p(b).
+  )");
+  GroundProgram gp = ground_profiled(p);
+  std::vector<std::string> rules = rule_texts(gp);
+  EXPECT_EQ(std::adjacent_find(rules.begin(), rules.end()), rules.end())
+      << "duplicate ground rule";
+  EXPECT_EQ(rules, rule_texts(ground_reference(p)));
+  // q(a), q(b), one constraint for each, s(a) and s(b).
+  EXPECT_EQ(rules.size(), 6u);
+  ASSERT_NE(gp.profile, nullptr);
+  for (std::size_t ri = 1; ri <= 6; ++ri) {
+    EXPECT_TRUE(gp.profile->per_rule[ri].dedup) << "rule " << ri;
+  }
+  EXPECT_FALSE(gp.profile->per_rule[7].dedup);
+  // Two instances for each renamed rule, one for each ground twin.
+  EXPECT_EQ(dedup_probes(p, {}), 4 * 2 + 2);
+}
+
+TEST(Ground, UniqueShapedConstraintSkipsTheDedupSet) {
+  // The concretizer's uniqueness constraints: one shape, told apart by the
+  // constant in the first argument, so neither can produce an instance of
+  // the other, and neither reads what it derives.
+  std::string text;
+  for (int n = 0; n < 4; ++n) {
+    for (int h = 0; h < 5; ++h) {
+      text += "cand(n" + std::to_string(n) + ", h" + std::to_string(h) +
+              ").\n";
+      text += "ver(n" + std::to_string(n) + ", v" + std::to_string(h) +
+              ").\n";
+    }
+    text += "node(n" + std::to_string(n) + ").\n";
+  }
+  text += R"(
+    { attr(hash, N, H) : cand(N, H) } :- node(N).
+    { attr(version, N, V) : ver(N, V) } :- node(N).
+    :- attr(hash, N, H1), attr(hash, N, H2), H1 < H2.
+    :- attr(version, N, V1), attr(version, N, V2), V1 < V2.
+  )";
+  Program p = parse_program(text);
+  const std::size_t first_constraint = p.rules().size() - 2;
+  GroundProgram gp = ground_profiled(p);
+  EXPECT_EQ(rule_texts(gp), rule_texts(ground_reference(p)));
+  ASSERT_NE(gp.profile, nullptr);
+  for (std::size_t ri = 0; ri < p.rules().size(); ++ri) {
+    EXPECT_FALSE(gp.profile->per_rule[ri].dedup) << "rule " << ri;
+  }
+  // 4 nodes x C(5, 2) pairs, for each constraint.
+  EXPECT_EQ(gp.profile->per_rule[first_constraint].instantiations, 40u);
+  EXPECT_EQ(gp.profile->per_rule[first_constraint + 1].instantiations, 40u);
+  EXPECT_EQ(dedup_probes(p, {}), 0);
+
+  // The naive path re-instantiates every round, so it proves nothing and
+  // sends every instance through the set: 80 constraint instances, 8
+  // choice bodies and 40 choice elements, in each of its two rounds (the
+  // second derives nothing new).
+  GroundOptions naive;
+  naive.semi_naive = false;
+  ASSERT_EQ(ground(p, naive).stats.iterations, 2u);
+  EXPECT_EQ(dedup_probes(p, naive), 2 * (80 + 8 + 40));
 }
 
 }  // namespace

@@ -327,5 +327,38 @@ TEST(SatAssumptions, MinimizeCoreRespectsSolveCap) {
   EXPECT_LE(solves, 1u);
 }
 
+TEST(SatPb, StrengtheningReasonNamesTermsItMadeTrue) {
+  // 2a + 2x + 1(!x) + 2b <= 3.  Assuming a leaves slack 1, so
+  // the weight-2 terms x and b are forced false, in that order.  Forcing x
+  // false makes the term !x true, so b's reason must name it as well:
+  // (!b | !a | x), not the (!b | !a) the constraint held before.  The
+  // conflict below resolves b's reason, and through x, x's own reason: the
+  // constraint's origin takes part twice.
+  Solver s;
+  s.enable_profiling(true);
+  Var a = s.new_var();
+  Var x = s.new_var();
+  Var b = s.new_var();
+  Var c = s.new_var();
+  Var d = s.new_var();
+  constexpr Origin kClauses = 0;
+  constexpr Origin kPb = 1;
+  s.add_clause({mk_lit(b, true), mk_lit(c, true)}, kClauses);
+  s.add_clause({mk_lit(a, false), mk_lit(d, true)}, kClauses);
+  s.add_clause({mk_lit(c, false), mk_lit(d, false)}, kClauses);
+  ASSERT_TRUE(s.add_pb_le({{mk_lit(a, true), 2},
+                           {mk_lit(x, true), 2},
+                           {mk_lit(x, false), 1},
+                           {mk_lit(b, true), 2}},
+                          3, kPb));
+  EXPECT_EQ(s.solve({mk_lit(a, true)}), R::Unsat);
+  EXPECT_FALSE(s.in_conflict());
+  EXPECT_EQ(s.stats().conflicts, 1u);
+  ASSERT_NE(s.profile(), nullptr);
+  ASSERT_GT(s.profile()->per_origin.size(), kPb);
+  EXPECT_EQ(s.profile()->per_origin[kPb].participations, 2u);
+  EXPECT_EQ(s.profile()->per_origin[kClauses].participations, 3u);
+}
+
 }  // namespace
 }  // namespace splice::asp::sat

@@ -75,6 +75,10 @@ for name in ("workload.cache_resolves", "workload.cache_memo_hits"):
     assert counters.get(name, 0) > 0, f"stats lack a positive {name} counter"
 print(f"set-up split: {counters['workload.cache_resolves']} resolves, "
       f"{counters['workload.cache_memo_hits']} memo hits")
+# The grounder proves every encoding rule's instances unique, so none goes
+# through its dedup set: the counter is recorded, and it reads 0.
+probes = counters.get("ground.dedup_probes")
+assert probes == 0, f"stats: ground.dedup_probes is {probes}, expected 0"
 
 # Explain a spliced and an unsatisfiable request set.
 splice("explain", "--splice", "--json", out("explain-splice.json"),
@@ -90,6 +94,10 @@ trace_check(out("profile.json"))
 rows = load(out("profile.json"))["profile"]["directives"]
 assert rows, "profiler attributed no cost to any directive"
 assert rows[0]["name"], "top directive row has no name"
+profile_doc = load(out("profile.json"))["profile"]
+paying = [r["name"] for table in ("directives", "predicates")
+          for r in profile_doc[table] if r["ground"]["dedup"]]
+assert not paying, f"profile rows still pay for the dedup set: {paying}"
 print(f"top directive: {rows[0]['name']}")
 
 # Flight recorder: a tiny slow threshold forces per-request dumps; every

@@ -1,4 +1,4 @@
-// Emission-order pin for the grounder on the RADIUSS workload.
+// Emission-order and search pins for the grounder and the solver.
 //
 // The solver breaks ties between equally good answers by variable order,
 // and variable order follows the ground program's atom table.  A grounder
@@ -7,7 +7,10 @@
 // which binary a splice is taken from.  This test digests the optimized
 // GroundProgram in emission order -- atom table, facts, rules, choices,
 // minimize -- for every RADIUSS request with splicing on and the local
-// cache, and pins each digest.
+// cache, and pins each digest; the same for two requests against a public
+// cache.  It also pins the CDCL counters of those solves, so a solver
+// change that perturbs the search (literal or watch order, the learnt
+// clause database) fails here, not only in the benchmark goldens.
 //
 // The digests are pinned, not derived: a change that moves one must say
 // why in its own commit and re-pin here, with the splice-origin goldens of
@@ -16,11 +19,13 @@
 
 #include <cstdint>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/asp/ground.hpp"
+#include "src/asp/solve.hpp"
 #include "src/concretize/concretizer.hpp"
 #include "src/support/hash.hpp"
 #include "src/workload/caches.hpp"
@@ -135,13 +140,17 @@ const std::vector<std::pair<std::string, std::string>>& pinned() {
   return kPinned;
 }
 
-TEST(GroundOrder, RadiussEmissionOrderIsPinned) {
-  repo::Repository repo = workload::radiuss_repo();
+ConcretizerOptions splice_options() {
   ConcretizerOptions opts;
   opts.encoding = ReuseEncoding::Indirect;
   opts.enable_splicing = true;
   opts.prune_reuse = true;
-  Concretizer c(repo, opts);
+  return opts;
+}
+
+TEST(GroundOrder, RadiussEmissionOrderIsPinned) {
+  repo::Repository repo = workload::radiuss_repo();
+  Concretizer c(repo, splice_options());
   c.add_reusable_all(workload::local_cache_specs(repo));
 
   std::vector<std::string> requests = radiuss_requests();
@@ -151,6 +160,114 @@ TEST(GroundOrder, RadiussEmissionOrderIsPinned) {
     ASSERT_EQ(requests[i], text);
     asp::GroundProgram gp = asp::ground(c.compile_program({Request(text)}));
     EXPECT_EQ(emission_digest(gp), want) << text;
+  }
+}
+
+/// The CDCL search counters of one solve; equal counters on an equal
+/// ground program mean the search took the same path.
+struct SearchCounters {
+  std::uint64_t decisions;
+  std::uint64_t conflicts;
+  std::uint64_t propagations;
+
+  friend bool operator==(const SearchCounters&,
+                         const SearchCounters&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const SearchCounters& s) {
+    return os << "{" << s.decisions << ", " << s.conflicts << ", "
+              << s.propagations << "}";
+  }
+};
+
+SearchCounters search_counters(const asp::GroundProgram& gp) {
+  asp::SolveResult r = asp::solve_ground(gp);
+  return {r.stats.decisions, r.stats.conflicts, r.stats.propagations};
+}
+
+/// Search counters of the RADIUSS requests, taken before the solver's
+/// clauses moved into one literal arena: clause storage must not perturb
+/// literal order, watch order or the learnt-clause database.
+const std::vector<std::pair<std::string, SearchCounters>>& pinned_search() {
+  static const std::vector<std::pair<std::string, SearchCounters>> kPinned =
+      {
+          {"ascent ^mpiabi", {386, 8, 5182}},
+          {"axom ^mpiabi", {439, 9, 5891}},
+          {"blt", {162, 0, 1845}},
+          {"caliper ^mpiabi", {217, 3, 2694}},
+          {"camp", {162, 0, 2075}},
+          {"care", {158, 0, 2357}},
+          {"chai", {159, 0, 2250}},
+          {"conduit ^mpiabi", {383, 7, 4101}},
+          {"flux-core", {156, 0, 2257}},
+          {"flux-sched", {155, 0, 2378}},
+          {"glvis ^mpiabi", {421, 5, 3614}},
+          {"py-hatchet", {155, 0, 2318}},
+          {"hypre ^mpiabi", {422, 3, 2682}},
+          {"kripke ^mpiabi", {359, 2, 3220}},
+          {"laghos ^mpiabi", {373, 4, 3503}},
+          {"lbann ^mpiabi", {373, 7, 3824}},
+          {"lvarray", {159, 0, 2282}},
+          {"py-maestrowf", {156, 0, 2236}},
+          {"py-merlin", {155, 0, 2316}},
+          {"mfem ^mpiabi", {424, 7, 3520}},
+          {"mpifileutils ^mpiabi", {362, 3, 2812}},
+          {"raja", {161, 0, 2138}},
+          {"samrai ^mpiabi", {430, 7, 3695}},
+          {"scr ^mpiabi", {418, 3, 2865}},
+          {"serac ^mpiabi", {428, 6, 6782}},
+          {"sundials ^mpiabi", {366, 3, 2852}},
+          {"umpire", {161, 0, 2129}},
+          {"visit ^mpiabi", {451, 7, 4462}},
+          {"xbraid ^mpiabi", {449, 2, 2484}},
+          {"zfp", {162, 0, 2027}},
+          {"py-shroud", {156, 0, 2261}},
+          {"py-spot", {158, 0, 2129}},
+      };
+  return kPinned;
+}
+
+TEST(GroundOrder, RadiussSearchCountersArePinned) {
+  repo::Repository repo = workload::radiuss_repo();
+  Concretizer c(repo, splice_options());
+  c.add_reusable_all(workload::local_cache_specs(repo));
+
+  std::vector<std::string> requests = radiuss_requests();
+  ASSERT_EQ(requests.size(), pinned_search().size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const auto& [text, want] = pinned_search()[i];
+    ASSERT_EQ(requests[i], text);
+    asp::GroundProgram gp = asp::ground(c.compile_program({Request(text)}));
+    EXPECT_EQ(search_counters(gp), want) << text;
+  }
+}
+
+/// Public-cache requests, where the hash-uniqueness constraint grounds
+/// one instance per pair of cached hashes of a package.  Digests and
+/// counters taken before proven-unique instances stopped passing the dedup
+/// set.
+struct PublicPin {
+  std::string request;
+  std::string digest;
+  SearchCounters search;
+};
+
+const std::vector<PublicPin>& pinned_public() {
+  static const std::vector<PublicPin> kPinned = {
+      {"lbann ^mpiabi", "02c9f1a19a39334591e54d3bf1fc8576", {1383, 12, 22566}},
+      {"serac ^mpiabi", "1e194f22932f8bbfcd841848818a962f", {2004, 43, 49036}},
+  };
+  return kPinned;
+}
+
+TEST(GroundOrder, PublicCacheEmissionOrderIsPinned) {
+  repo::Repository repo = workload::radiuss_repo();
+  Concretizer c(repo, splice_options());
+  c.add_reusable_all(workload::public_cache_specs(repo, 1000));
+
+  for (const PublicPin& pin : pinned_public()) {
+    asp::GroundProgram gp =
+        asp::ground(c.compile_program({Request(pin.request)}));
+    EXPECT_EQ(emission_digest(gp), pin.digest) << pin.request;
+    EXPECT_EQ(search_counters(gp), pin.search) << pin.request;
   }
 }
 

@@ -27,6 +27,33 @@ TEST(Hash, DistinctInputsDistinctDigests) {
   EXPECT_EQ(digests.size(), 1000u);
 }
 
+TEST(KeyedIndexSet, KeyCollisionKeepsDistinctItems) {
+  // Every item hashes to one key: only the equality test tells them apart.
+  std::vector<int> items;
+  KeyedIndexSet set;
+  auto add = [&](int v) {
+    bool fresh = set.insert(42, static_cast<std::uint32_t>(items.size()),
+                            [&](std::uint32_t j) { return items[j] == v; });
+    if (fresh) items.push_back(v);
+    return fresh;
+  };
+  for (int v = 0; v < 3000; ++v) EXPECT_TRUE(add(v)) << v;  // grows twice
+  for (int v = 0; v < 3000; v += 7) EXPECT_FALSE(add(v)) << v;
+  EXPECT_EQ(items.size(), 3000u);
+  EXPECT_EQ(set.size(), 3000u);
+}
+
+TEST(KeyedIndexSet, EqualItemsUnderDistinctKeysAreNotCompared) {
+  KeyedIndexSet set;
+  int compared = 0;
+  auto same = [&](std::uint32_t) { return ++compared, true; };
+  EXPECT_TRUE(set.insert(1, 0, same));
+  EXPECT_TRUE(set.insert(2, 1, same));
+  EXPECT_EQ(compared, 0);
+  EXPECT_FALSE(set.insert(1, 2, same));
+  EXPECT_EQ(compared, 1);
+}
+
 TEST(Hash, B32FormatIsSpackLike) {
   std::string d = stable_hash_b32("zlib@1.2.11");
   EXPECT_EQ(d.size(), 26u);

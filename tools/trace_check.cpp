@@ -453,6 +453,7 @@ void check_profile_row(const std::string& file, const Value& row,
          {"instantiations", "join_candidates", "emitted", "seconds"}) {
       require_number(file, *g, field, ctx + "/ground");
     }
+    require_bool(file, *g, "dedup", ctx + "/ground");
   }
 }
 
